@@ -51,14 +51,13 @@ int main() {
   };
   auto pq8 = make_pq(8);
   auto pq16 = make_pq(16);
-  IvfPqIndexConfig pq_config;
+  IvfIndexConfig pq_config;
   pq_config.nprobe = 8;
-  IvfPqIndex ivfpq8(quantizer, pq8, pq_config);
-  IvfPqIndex ivfpq16(quantizer, pq16, pq_config);
-  IvfPqIndexConfig rerank_config = pq_config;
-  rerank_config.keep_raw_vectors = true;
+  IvfIndex ivfpq8(quantizer, pq8, pq_config);
+  IvfIndex ivfpq16(quantizer, pq16, pq_config);
+  IvfIndexConfig rerank_config = pq_config;
   rerank_config.rerank_candidates = 100;
-  IvfPqIndex ivfpq16r(quantizer, pq16, rerank_config);
+  IvfIndex ivfpq16r(quantizer, pq16, rerank_config);
 
   std::printf("indexing %zu images...\n",
               kProducts * kImagesPerProduct);

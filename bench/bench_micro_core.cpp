@@ -198,42 +198,25 @@ void BM_PqAdcScan(benchmark::State& state) {
   pc.num_subspaces = 8;
   pc.codebook_size = 256;
   const ProductQuantizer pq = ProductQuantizer::Train(training, pc);
-  CodeSet codes(pq.code_bytes());
   constexpr int kCodes = 4096;
+  std::vector<std::uint8_t> codes;
+  codes.reserve(kCodes * pq.code_bytes());
   for (int i = 0; i < kCodes; ++i) {
-    codes.Append(pq.Encode(RandomVector(rng, 64)));
+    const PqCode code = pq.Encode(RandomVector(rng, 64));
+    codes.insert(codes.end(), code.begin(), code.end());
   }
   const FeatureVector q = RandomVector(rng, 64);
   const auto table = pq.BuildDistanceTable(q);
   for (auto _ : state) {
     float sum = 0.f;
     for (int i = 0; i < kCodes; ++i) {
-      sum += pq.DistanceWithTable(table, codes.At(i));
+      sum += pq.DistanceWithTable(table, codes.data() + i * pq.code_bytes());
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * kCodes);
 }
 BENCHMARK(BM_PqAdcScan);
-
-void BM_BinaryHashHamming(benchmark::State& state) {
-  Rng rng(13);
-  constexpr std::size_t kWords = 2;  // 128 bits
-  constexpr int kSignatures = 8192;
-  std::vector<std::uint64_t> signatures(kSignatures * kWords);
-  for (auto& w : signatures) w = rng.Next64();
-  const std::uint64_t query[kWords] = {rng.Next64(), rng.Next64()};
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (int i = 0; i < kSignatures; ++i) {
-      sum += BinaryHashIndex::HammingDistance(query,
-                                              &signatures[i * kWords], kWords);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kSignatures);
-}
-BENCHMARK(BM_BinaryHashHamming);
 
 void BM_QueryCacheLookupHit(benchmark::State& state) {
   QueryCache cache(64);

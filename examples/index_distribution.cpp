@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
   });
   auto pq = std::make_shared<ProductQuantizer>(
       ProductQuantizer::Train(training, pc));
-  IvfPqIndexConfig pq_config;
+  IvfIndexConfig pq_config;
   pq_config.nprobe = 8;
-  IvfPqIndex compressed(quantizer, pq, pq_config);
+  IvfIndex compressed(quantizer, pq, pq_config);
   catalog.ForEach([&](const ProductRecord& r) {
     for (const auto& url : r.image_urls) {
       compressed.AddImage(url, r.id, r.category, r.attributes, r.detail_url,

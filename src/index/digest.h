@@ -6,7 +6,7 @@
 // digest folds every entry's identity, attributes and validity into a single
 // order-insensitive 64-bit value: equal digests (plus equal counts) mean the
 // replicas agree, regardless of internal layout differences such as
-// inverted-list expansion states.
+// heap-resident vs mapped (tiered) posting lists.
 #pragma once
 
 #include <cstdint>

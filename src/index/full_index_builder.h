@@ -63,8 +63,7 @@ class FullIndexBuilder {
   std::unique_ptr<IvfIndex> Build(
       std::shared_ptr<const CoarseQuantizer> quantizer,
       const PartitionFilter& filter = AcceptAllPartitionFilter(),
-      FullIndexReport* report = nullptr,
-      CopyExecutor copy_executor = InlineCopyExecutor());
+      FullIndexReport* report = nullptr);
 
  private:
   ProductCatalog& catalog_;

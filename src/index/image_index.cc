@@ -1,7 +1,5 @@
 #include "index/image_index.h"
 
-#include <algorithm>
-
 namespace jdvs {
 
 const char* FilterStrategyName(FilterScanStats::Strategy strategy) noexcept {
@@ -16,43 +14,6 @@ const char* FilterStrategyName(FilterScanStats::Strategy strategy) noexcept {
       return "fallback";
   }
   return "unknown";
-}
-
-std::vector<SearchHit> ImageIndex::Search(FeatureView query, std::size_t k,
-                                          std::size_t nprobe_override,
-                                          CategoryId category_filter,
-                                          const FilterExpression& filter,
-                                          FilterScanStats* stats) const {
-  if (stats != nullptr) {
-    *stats = FilterScanStats{};
-    stats->universe = size();
-  }
-  if (filter.empty()) {
-    return Search(query, k, nprobe_override, category_filter);
-  }
-  if (stats != nullptr) stats->strategy = FilterScanStats::Strategy::kFallback;
-  // Generic over-fetch-and-post-filter: fetch a growing multiple of k and
-  // keep the hits that satisfy the predicates. Gives every index a correct
-  // hybrid answer; selective filters pay recall (documented — the IVF
-  // overrides exist precisely to do better).
-  const std::size_t total = size();
-  std::size_t fetch = std::max<std::size_t>(k * 4, 64);
-  for (;;) {
-    std::vector<SearchHit> raw =
-        Search(query, fetch, nprobe_override, category_filter);
-    std::vector<SearchHit> kept;
-    kept.reserve(k);
-    for (SearchHit& hit : raw) {
-      if (!filter.Matches(hit.category, hit.attributes)) continue;
-      kept.push_back(std::move(hit));
-      if (kept.size() == k) break;
-    }
-    if (kept.size() == k || raw.size() < fetch || fetch >= total) {
-      if (stats != nullptr) stats->matches = kept.size();
-      return kept;
-    }
-    fetch = std::min(total, fetch * 4);
-  }
 }
 
 }  // namespace jdvs

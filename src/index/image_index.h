@@ -1,19 +1,11 @@
-// ImageIndex: the mutation/search contract of a per-partition image index.
-//
-// The real-time indexing pipeline (Section 2.3) is index-representation
-// agnostic: it needs to add images, flip validity bits, rewrite attributes
-// and answer top-k searches. Both the paper's flat-feature IVF index and the
-// compressed IVF-PQ variant implement this interface, so the same
-// RealTimeIndexer drives either.
-//
-// Concurrency contract shared by all implementations: one writer (all
-// mutating calls), any number of concurrent Search() readers.
+// The value types a per-partition image index answers with: one search hit
+// as it travels searcher -> broker -> blender, and the per-query
+// diagnostics of a hybrid (filtered) scan.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "filter/filter_expression.h"
@@ -31,7 +23,7 @@ struct FilterScanStats {
     kNone = 0,      // no filter, plain scan
     kPre = 1,       // bitmap evaluated per sub-block before the kernel
     kPost = 2,      // kernel survivors tested against the bitmap
-    kFallback = 3,  // generic over-fetch + post-filter (non-IVF indexes)
+    kFallback = 3,  // naive over-fetch + post-filter (PostFilteredSearch)
   };
 
   Strategy strategy = Strategy::kNone;
@@ -68,57 +60,6 @@ struct SearchHit {
   ProductAttributes attributes;
   std::string image_url;
   std::string detail_url;
-};
-
-class ImageIndex {
- public:
-  virtual ~ImageIndex() = default;
-
-  // ---- Writer operations ----
-  virtual LocalId AddImage(std::string_view image_url, ProductId product_id,
-                           CategoryId category,
-                           const ProductAttributes& attributes,
-                           std::string_view detail_url,
-                           FeatureView feature) = 0;
-  virtual bool HasImage(std::string_view image_url) const = 0;
-  virtual bool HasProduct(ProductId product_id) const = 0;
-  virtual std::size_t UpdateProductAttributes(
-      ProductId product_id, const ProductAttributes& attributes,
-      std::string_view detail_url) = 0;
-  virtual std::size_t SetProductValidity(ProductId product_id, bool valid) = 0;
-  virtual bool SetImageValidity(std::string_view image_url, bool valid) = 0;
-  // Writer housekeeping; default no-op for indexes without deferred work.
-  virtual void FinishPendingExpansions() {}
-
-  // ---- Reader operations (lock-free) ----
-
-  // Top-k most similar valid images; `category_filter` of kNoCategoryFilter
-  // searches everything, otherwise only images of that category are
-  // considered (the production use of the detector output, Section 2.4).
-  virtual std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                        std::size_t nprobe_override,
-                                        CategoryId category_filter) const = 0;
-
-  std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                std::size_t nprobe_override = 0) const {
-    return Search(query, k, nprobe_override, kNoCategoryFilter);
-  }
-
-  // Hybrid filtered search: top-k valid images matching every predicate of
-  // `filter` (conjoined with `category_filter`). The base implementation
-  // over-fetches through the unfiltered Search and post-filters the hits,
-  // so every index representation (LSH, IMI, binary-hash) answers hybrid
-  // queries correctly out of the box; IvfIndex and IvfPqIndex override it
-  // with true bitmap pushdown into the scan. `stats`, when non-null,
-  // receives the per-query strategy/selectivity diagnostics.
-  virtual std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                        std::size_t nprobe_override,
-                                        CategoryId category_filter,
-                                        const FilterExpression& filter,
-                                        FilterScanStats* stats = nullptr) const;
-
-  virtual std::size_t size() const = 0;
-  virtual std::size_t dim() const = 0;
 };
 
 }  // namespace jdvs

@@ -3,19 +3,23 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "common/clock.h"
 #include "common/hash.h"
+#include "vecmath/distance.h"
 #include "vecmath/kernels.h"
 
 namespace jdvs {
 
 namespace {
-// Entries per contiguous scan run. Bounds the stack survivor buffers in
-// ScanListPadded; 256 rows of a 960-d (padded) feature are ~1 MB, well past
-// the L2 prefetch horizon, so longer runs buy nothing.
+// Entries per contiguous scan run. Bounds the stack survivor buffers of the
+// scans: 256 rows of a 960-d (padded) feature are ~1 MB, well past the L2
+// prefetch horizon, so longer flat runs buy nothing; PQ code runs are sized
+// to the 4 KB distance buffer of one pq_adc_scan call.
 constexpr std::size_t kScanRunEntries = 256;
+constexpr std::size_t kCodeRunEntries = 1024;
 
 // Squared L2 norm with a float64 accumulator: appended once per row and
 // reused by every query, so spend the extra precision here rather than in
@@ -30,19 +34,52 @@ float SquaredNorm(const float* v, std::size_t n) noexcept {
 }  // namespace
 
 IvfIndex::IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
-                   const IvfIndexConfig& config, CopyExecutor copy_executor)
+                   const IvfIndexConfig& config)
+    : IvfIndex(std::move(quantizer), nullptr, config) {}
+
+IvfIndex::IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
+                   std::shared_ptr<const ProductQuantizer> pq,
+                   const IvfIndexConfig& config)
     : quantizer_(std::move(quantizer)),
+      pq_(std::move(pq)),
       config_(config),
-      padded_dim_(PaddedDim(quantizer_->dim())),
-      pad_scratch_(AllocateAligned<float>(PaddedDim(quantizer_->dim()))) {
-  lists_.reserve(quantizer_->num_clusters());
+      padded_dim_(PaddedDim(quantizer_->dim())) {
+  assert(pq_ == nullptr || pq_->dim() == quantizer_->dim());
+  if (pq_ == nullptr) {
+    pad_scratch_ = AllocateAligned<float>(padded_dim_);
+  } else if (config_.rerank_candidates > 0) {
+    raw_ = std::make_unique<VectorSet>(quantizer_->dim());
+  }
+  const std::size_t row_bytes =
+      pq_ == nullptr ? padded_dim_ * sizeof(float) : pq_->code_bytes();
+  const std::size_t run_entries =
+      pq_ == nullptr ? kScanRunEntries : kCodeRunEntries;
   blocks_.reserve(quantizer_->num_clusters());
   for (std::size_t c = 0; c < quantizer_->num_clusters(); ++c) {
-    lists_.push_back(std::make_unique<InvertedList>(
-        config_.initial_list_capacity, copy_executor));
-    blocks_.push_back(std::make_unique<ScanBlock>(
-        padded_dim_ * sizeof(float), kScanRunEntries));
+    blocks_.push_back(std::make_unique<ScanBlock>(row_bytes, run_entries));
   }
+}
+
+LocalId IvfIndex::AppendMetadata(std::string_view image_url,
+                                 ProductId product_id, CategoryId category,
+                                 const ProductAttributes& attributes,
+                                 std::string_view detail_url) {
+  const ImageId image_id = Fnv1a64(image_url);
+  const LocalId local = forward_.Append(image_id, product_id, category,
+                                        attributes, image_url, detail_url);
+  // Attribute filter index in lockstep with the forward index: same local
+  // id, same tag, same numeric values.
+  filters_.Append(category, attributes);
+  url_to_local_.emplace(std::string(image_url), local);
+  product_to_locals_[product_id].push_back(local);
+  return local;
+}
+
+void IvfIndex::AppendRow(std::uint32_t list, LocalId local,
+                         const void* payload, float norm) {
+  ScanBlock& block = *blocks_[list];
+  block.Append(local, payload, norm);
+  local_row_.push_back(block.PayloadAt(block.size() - 1));
 }
 
 LocalId IvfIndex::AddImage(std::string_view image_url, ProductId product_id,
@@ -53,32 +90,26 @@ LocalId IvfIndex::AddImage(std::string_view image_url, ProductId product_id,
   // 1. "a new index element plus the product's attributes are created in the
   //    forward index. The image URL is then inserted to the buffer and the
   //    offset is recorded" (Figure 8).
-  const ImageId image_id = Fnv1a64(image_url);
-  const LocalId local = forward_.Append(image_id, product_id, category,
-                                        attributes, image_url, detail_url);
+  const LocalId local = AppendMetadata(image_url, product_id, category,
+                                       attributes, detail_url);
   // 2. "the inverted index list that the image belongs to is calculated
   //    based on its high-dimensional features. The image ID is then added to
   //    the end of the inverted list and the last element position ... is
-  //    updated in the auxiliary array."
-  // Attribute filter index in lockstep with the forward index: same local
-  // id, same tag, same numeric values.
-  filters_.Append(category, attributes);
+  //    updated in the auxiliary array" — here, the list's scan block
+  //    publishes id and row together.
   const std::uint32_t list = quantizer_->NearestCentroid(feature);
-  lists_[list]->Append(local);
-  // 3. Feature row into the list's scan block (padding lanes stay zero: the
-  //    scratch row was zero-allocated and only dim() floats are rewritten).
-  std::memcpy(pad_scratch_.get(), feature.data(),
-              dim() * sizeof(float));
-  ScanBlock& block = *blocks_[list];
-  block.Append(local, pad_scratch_.get(),
-               SquaredNorm(pad_scratch_.get(), dim()));
-  local_feature_.push_back(
-      reinterpret_cast<const float*>(block.PayloadAt(block.size() - 1)));
-  // 4. Valid and searchable from this moment (data freshness).
+  if (pq_ == nullptr) {
+    // Padded row (padding lanes stay zero: the scratch row was
+    // zero-allocated and only dim() floats are rewritten) plus its norm.
+    std::memcpy(pad_scratch_.get(), feature.data(), dim() * sizeof(float));
+    AppendRow(list, local, pad_scratch_.get(),
+              SquaredNorm(pad_scratch_.get(), dim()));
+  } else {
+    AppendRow(list, local, pq_->Encode(feature).data(), 0.0f);
+    if (raw_) raw_->Append(feature);
+  }
+  // 3. Valid and searchable from this moment (data freshness).
   valid_.Set(local, true);
-  // Writer-side lookup state.
-  url_to_local_.emplace(std::string(image_url), local);
-  product_to_locals_[product_id].push_back(local);
   return local;
 }
 
@@ -122,23 +153,15 @@ bool IvfIndex::IsImageValid(std::string_view image_url) const {
   return it != url_to_local_.end() && valid_.Get(it->second);
 }
 
-void IvfIndex::FinishPendingExpansions() {
-  for (const auto& list : lists_) list->MaybeFinishExpansion();
-}
-
 LocalId IvfIndex::AddImageMetadata(std::string_view image_url,
                                    ProductId product_id, CategoryId category,
                                    const ProductAttributes& attributes,
                                    std::string_view detail_url) {
-  const ImageId image_id = Fnv1a64(image_url);
-  const LocalId local = forward_.Append(image_id, product_id, category,
-                                        attributes, image_url, detail_url);
-  filters_.Append(category, attributes);
-  // Feature pointer resolved later by AttachFrozenList.
-  local_feature_.push_back(nullptr);
+  const LocalId local = AppendMetadata(image_url, product_id, category,
+                                       attributes, detail_url);
+  // Row pointer resolved later by AttachFrozenList.
+  local_row_.push_back(nullptr);
   valid_.Set(local, true);
-  url_to_local_.emplace(std::string(image_url), local);
-  product_to_locals_[product_id].push_back(local);
   return local;
 }
 
@@ -146,21 +169,41 @@ void IvfIndex::AttachFrozenList(std::size_t list, const LocalId* ids,
                                 const float* norms,
                                 const std::uint8_t* payload,
                                 std::size_t count) {
-  assert(list < lists_.size());
+  assert(list < blocks_.size());
   if (count == 0) return;
   auto owned_ids = AllocateAligned<LocalId>(count);
   auto owned_norms = AllocateAligned<float>(count);
   std::memcpy(owned_ids.get(), ids, count * sizeof(LocalId));
   std::memcpy(owned_norms.get(), norms, count * sizeof(float));
+  const std::size_t row_bytes = blocks_[list]->payload_stride_bytes();
   for (std::size_t i = 0; i < count; ++i) {
-    lists_[list]->Append(ids[i]);
-    assert(ids[i] < local_feature_.size());
-    local_feature_[ids[i]] =
-        reinterpret_cast<const float*>(payload + i * padded_dim_ *
-                                                     sizeof(float));
+    assert(ids[i] < local_row_.size());
+    local_row_[ids[i]] = payload + i * row_bytes;
   }
   blocks_[list]->AttachFrozen(std::move(owned_ids), std::move(owned_norms),
                               payload, count);
+}
+
+LocalId IvfIndex::AddEncoded(std::string_view image_url,
+                             ProductId product_id, CategoryId category,
+                             const ProductAttributes& attributes,
+                             std::string_view detail_url, const PqCode& code,
+                             std::uint32_t list, FeatureView raw_or_empty) {
+  assert(pq_ != nullptr && list < blocks_.size());
+  assert(code.size() == pq_->code_bytes());
+  const LocalId local = AppendMetadata(image_url, product_id, category,
+                                       attributes, detail_url);
+  AppendRow(list, local, code.data(), 0.0f);
+  if (raw_) {
+    if (raw_or_empty.empty()) {
+      const FeatureVector decoded = pq_->Decode(code);
+      raw_->Append(decoded);
+    } else {
+      raw_->Append(raw_or_empty);
+    }
+  }
+  valid_.Set(local, true);
+  return local;
 }
 
 void IvfIndex::ForEachScanRun(
@@ -170,112 +213,173 @@ void IvfIndex::ForEachScanRun(
   blocks_[list]->ForEachRun(fn);
 }
 
-const float* IvfIndex::PadQuery(FeatureView query, float* stack_buf,
-                                AlignedArray<float>& heap_buf) const {
-  float* dst;
-  if (padded_dim_ <= kMaxStackQueryFloats) {
-    dst = stack_buf;
-    std::memset(dst + dim(), 0, (padded_dim_ - dim()) * sizeof(float));
-  } else {
-    heap_buf = AllocateAligned<float>(padded_dim_);  // zero-initialized
-    dst = heap_buf.get();
-  }
-  std::memcpy(dst, query.data(), dim() * sizeof(float));
-  return dst;
+std::size_t IvfIndex::QueryScanFloats() const noexcept {
+  return pq_ == nullptr ? padded_dim_
+                        : pq_->num_subspaces() * pq_->codebook_size();
 }
 
-void IvfIndex::ScanListPadded(std::size_t list, const float* padded_query,
-                              float query_norm, CategoryId category_filter,
-                              const MaterializedFilter* filter,
-                              bool post_filter,
-                              const FilterExpression* direct,
-                              FilterScanStats* stats, TopK& topk) const {
-  const DistanceKernels& kernels = Kernels();
-  const std::size_t stride = padded_dim_;
-  blocks_[list]->ForEachRun([&](const LocalId* ids,
-                                const std::uint8_t* payload,
-                                const float* norms, std::size_t count) {
-    const float* rows = reinterpret_cast<const float*>(payload);
-    // Fused distance + admission: the kernel computes every distance in the
-    // dot form against the block's precomputed row norms and compacts the
-    // candidates at or under the top-k threshold (<=, because a distance
-    // tie can still displace a larger id inside the heap) in one sweep —
-    // no per-run distance buffer, no second pass. Distances for invalid /
-    // off-category entries are computed and then discarded — on this layout
-    // a branchless linear sweep beats the seed's per-candidate skip, and
-    // removed products are rare.
-    //
-    // Sub-blocks of kFilterBlock entries refresh the threshold between
-    // kernel calls: on the first probed list the top-k starts empty
-    // (threshold +inf, everything "survives"), and the refresh caps that
-    // flood at one sub-block instead of the whole run. The threshold only
-    // tightens while offering, so a sub-block's survivors are a superset;
-    // each is re-checked against the freshest threshold before its Offer.
-    //
-    // Hybrid pushdown: with a materialized filter in pre mode, the
-    // sub-block's alive mask is gathered first (ids are in list-append
-    // order, so each bit is a bitmap probe) and a wholly-dead sub-block
-    // skips the kernel — its 64 feature rows are never touched. The bitmap
-    // already folds validity and the category tag, so survivor admission is
-    // a single mask test in place of the two legacy checks.
-    constexpr std::size_t kFilterBlock = 64;
-    std::uint32_t keep[kFilterBlock];
-    float keep_dist[kFilterBlock];
-    for (std::size_t b = 0; b < count; b += kFilterBlock) {
-      const std::size_t block = std::min(kFilterBlock, count - b);
-      std::uint64_t alive = 0;
-      if (filter != nullptr && !post_filter) {
-        for (std::size_t s = 0; s < block; ++s) {
-          alive |= std::uint64_t{filter->Test(ids[b + s])} << s;
-        }
-        if (alive == 0) {
-          if (stats != nullptr) ++stats->blocks_skipped;
-          continue;
-        }
+float* IvfIndex::QueryScratch(float* stack_buf,
+                              AlignedArray<float>& heap_buf) const {
+  if (QueryScanFloats() <= kMaxStackQueryFloats) return stack_buf;
+  heap_buf = AllocateAligned<float>(QueryScanFloats());
+  return heap_buf.get();
+}
+
+float IvfIndex::PrepareQuery(FeatureView query, float* out) const {
+  assert(query.size() == dim());
+  if (pq_ != nullptr) {
+    // Per-query ADC table, built exactly once: num_subspaces x
+    // codebook_size partial squared distances.
+    pq_->BuildDistanceTable(query, out);
+    return 0.0f;
+  }
+  std::memcpy(out, query.data(), dim() * sizeof(float));
+  std::memset(out + dim(), 0, (padded_dim_ - dim()) * sizeof(float));
+  return SquaredNorm(out, dim());
+}
+
+bool IvfIndex::Admits(const Admission& admission, LocalId local,
+                      bool in_alive_mask) const {
+  if (admission.bits != nullptr) {
+    // The bitmap already folds validity and the category tag, so admission
+    // is a single mask test in place of the per-survivor checks below.
+    return admission.post ? admission.bits->Test(local) : in_alive_mask;
+  }
+  if (config_.filter_invalid_during_scan && !valid_.Get(local)) return false;
+  if (admission.category != kNoCategoryFilter &&
+      forward_.CategoryOf(local) != admission.category) {
+    return false;
+  }
+  if (admission.direct == nullptr) return true;
+  // Broad-filter direct post mode: no bitmap was materialized, so the
+  // predicates are evaluated here — but only on the <= k survivors the
+  // kernel admitted, which is the whole point of skipping materialization.
+  const AttributeSnapshot snapshot = forward_.Get(local);
+  return admission.direct->Matches(snapshot.category, snapshot.attributes);
+}
+
+template <typename SubBlockKernel>
+void IvfIndex::ScanRun(const LocalId* ids, std::size_t count,
+                       const Admission& admission, FilterScanStats* stats,
+                       TopK& topk, SubBlockKernel&& kernel) const {
+  // Sub-blocks of kFilterBlock entries refresh the threshold between kernel
+  // calls: on the first probed list the top-k starts empty (threshold +inf,
+  // everything "survives"), and the refresh caps that flood at one
+  // sub-block instead of the whole run. The threshold only tightens while
+  // offering, so a sub-block's survivors are a superset; each is re-checked
+  // against the freshest threshold before its Offer (the kernels admit at
+  // or under the threshold — <=, because a distance tie can still displace
+  // a larger id inside the heap).
+  //
+  // Hybrid pushdown: with a materialized filter in pre mode, the
+  // sub-block's alive mask is gathered first (ids are in list-append
+  // order, so each bit is a bitmap probe) and a wholly-dead sub-block skips
+  // the kernel — its 64 rows are never touched.
+  constexpr std::size_t kFilterBlock = 64;
+  const bool pre = admission.bits != nullptr && !admission.post;
+  std::uint32_t keep[kFilterBlock];
+  float keep_dist[kFilterBlock];
+  for (std::size_t b = 0; b < count; b += kFilterBlock) {
+    const std::size_t block = std::min(kFilterBlock, count - b);
+    std::uint64_t alive = 0;
+    if (pre) {
+      for (std::size_t s = 0; s < block; ++s) {
+        alive |= std::uint64_t{admission.bits->Test(ids[b + s])} << s;
       }
-      if (stats != nullptr) ++stats->blocks_scanned;
-      float threshold = topk.Threshold();
-      const std::size_t kept = kernels.l2sq_scan_filter(
-          padded_query, query_norm, rows + b * stride, norms + b, stride,
-          stride, block, threshold, keep, keep_dist);
-      for (std::size_t s = 0; s < kept; ++s) {
-        const float dist = keep_dist[s];
-        if (dist > threshold) continue;
-        const LocalId local = ids[b + keep[s]];
-        if (filter != nullptr) {
-          const bool pass = post_filter ? filter->Test(local)
-                                        : ((alive >> keep[s]) & 1) != 0;
-          if (!pass) continue;
-        } else if (direct != nullptr) {
-          // Broad-filter direct post mode: no bitmap was materialized, so
-          // validity / category / predicates are all evaluated here — but
-          // only on the <= k survivors the kernel admitted, which is the
-          // whole point of skipping materialization.
-          if (config_.filter_invalid_during_scan && !valid_.Get(local)) {
-            continue;
-          }
-          if (category_filter != kNoCategoryFilter &&
-              forward_.CategoryOf(local) != category_filter) {
-            continue;
-          }
-          const AttributeSnapshot snapshot = forward_.Get(local);
-          if (!direct->Matches(snapshot.category, snapshot.attributes)) {
-            continue;
-          }
-        } else {
-          if (config_.filter_invalid_during_scan && !valid_.Get(local)) {
-            continue;
-          }
-          if (category_filter != kNoCategoryFilter &&
-              forward_.CategoryOf(local) != category_filter) {
-            continue;
-          }
-        }
-        topk.Offer(local, dist);
-        threshold = topk.Threshold();
+      if (alive == 0) {
+        if (stats != nullptr) ++stats->blocks_skipped;
+        continue;
       }
     }
+    if (stats != nullptr) ++stats->blocks_scanned;
+    float threshold = topk.Threshold();
+    const std::size_t kept = kernel(b, block, threshold, keep, keep_dist);
+    for (std::size_t s = 0; s < kept; ++s) {
+      const float dist = keep_dist[s];
+      if (dist > threshold) continue;
+      const LocalId local = ids[b + keep[s]];
+      if (!Admits(admission, local, ((alive >> keep[s]) & 1) != 0)) continue;
+      topk.Offer(local, dist);
+      threshold = topk.Threshold();
+    }
+  }
+}
+
+void IvfIndex::ScanList(std::size_t list, const float* query_scan,
+                        float query_norm, const Admission& admission,
+                        FilterScanStats* stats, TopK& topk) const {
+  const DistanceKernels& kernels = Kernels();
+  if (pq_ == nullptr) {
+    // Fused distance + admission: the kernel computes every distance in the
+    // dot form against the block's precomputed row norms and compacts the
+    // candidates at or under the threshold in one sweep — no per-run
+    // distance buffer, no second pass. Distances for invalid / off-category
+    // entries are computed and then discarded — on this layout a branchless
+    // linear sweep beats a per-candidate skip, and removed products are
+    // rare.
+    const std::size_t stride = padded_dim_;
+    blocks_[list]->ForEachRun([&](const LocalId* ids,
+                                  const std::uint8_t* payload,
+                                  const float* norms, std::size_t count) {
+      const float* rows = reinterpret_cast<const float*>(payload);
+      ScanRun(ids, count, admission, stats, topk,
+              [&](std::size_t b, std::size_t n, float threshold,
+                  std::uint32_t* keep, float* keep_dist) {
+                return kernels.l2sq_scan_filter(
+                    query_scan, query_norm, rows + b * stride, norms + b,
+                    stride, stride, n, threshold, keep, keep_dist);
+              });
+    });
+    return;
+  }
+  // True ADC: packed codes through the pq_adc_scan kernel — per candidate
+  // that is m table lookups, gathered 8/16-wide on the SIMD tiers, summed in
+  // DistanceWithTable's order, so distances are bit-identical to the
+  // per-candidate path. Unfiltered and post-filter scans run the whole run
+  // through one kernel call; pushdown (pre) mode runs it per sub-block
+  // instead, so a sub-block the bitmap proves dead never gathers its tables
+  // at all. filter_le then admits at or under the threshold.
+  const std::size_t m = pq_->num_subspaces();
+  const std::size_t ks = pq_->codebook_size();
+  const bool pre = admission.bits != nullptr && !admission.post;
+  blocks_[list]->ForEachRun([&](const LocalId* ids,
+                                const std::uint8_t* codes,
+                                const float* /*norms*/, std::size_t count) {
+    float dists[kCodeRunEntries];
+    if (!pre) kernels.pq_adc_scan(query_scan, ks, codes, m, count, dists);
+    ScanRun(ids, count, admission, stats, topk,
+            [&](std::size_t b, std::size_t n, float threshold,
+                std::uint32_t* keep, float* keep_dist) {
+              if (pre) {
+                kernels.pq_adc_scan(query_scan, ks, codes + b * m, m, n,
+                                    dists + b);
+              }
+              const std::size_t kept =
+                  kernels.filter_le(dists + b, n, threshold, keep);
+              for (std::size_t s = 0; s < kept; ++s) {
+                keep_dist[s] = dists[b + keep[s]];
+              }
+              return kept;
+            });
   });
+}
+
+std::size_t IvfIndex::ScanDepth(std::size_t k) const noexcept {
+  return raw_ != nullptr ? std::max(config_.rerank_candidates, k) : k;
+}
+
+std::vector<ScoredImage> IvfIndex::Finish(FeatureView query, std::size_t k,
+                                          TopK& topk) const {
+  std::vector<ScoredImage> ranked = topk.TakeSorted();
+  if (raw_ == nullptr) return ranked;
+  // Exact re-ranking of the ADC shortlist against the raw features
+  // (IVFADC+R).
+  TopK exact(k);
+  for (const ScoredImage& candidate : ranked) {
+    const auto local = static_cast<LocalId>(candidate.image_id);
+    exact.Offer(candidate.image_id, L2SquaredDistance(query, raw_->At(local)));
+  }
+  return exact.TakeSorted();
 }
 
 double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
@@ -305,26 +409,27 @@ double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
 }
 
 IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
-    const FilterExpression& filter, CategoryId category_filter,
-    std::size_t nprobe, FilterScanStats* stats,
+    const FilterExpression* filter, CategoryId category_filter,
+    std::size_t nprobe_override, FilterScanStats* stats,
     std::shared_ptr<const MaterializedFilter> reuse) const {
+  const std::size_t nprobe =
+      nprobe_override == 0 ? config_.nprobe : nprobe_override;
   FilterPlan plan;
   plan.nprobe = nprobe;
   if (stats != nullptr) {
     *stats = FilterScanStats{};
     stats->universe = forward_.size();
   }
-  if (filter.empty()) return plan;
+  if (filter == nullptr || filter->empty()) return plan;
   if (reuse == nullptr) {
-    // Broad filters never materialize (PR 8's open cut): a sampled estimate
-    // at/above the post threshold routes the query into direct post mode,
-    // where predicates run only against the <= k kernel survivors and the
-    // per-query ~1ms/100k-entry bitmap cost disappears.
-    const double estimate = EstimateFilterSelectivity(filter, category_filter);
+    // Broad filters never materialize: a sampled estimate at/above the post
+    // threshold routes the query into direct post mode, where predicates run
+    // only against the <= k kernel survivors and the per-query
+    // ~1ms/100k-entry bitmap cost disappears.
+    const double estimate = EstimateFilterSelectivity(*filter, category_filter);
     if (estimate >= config_.filter_post_threshold) {
-      plan.use_filter = true;
       plan.post_mode = true;
-      plan.direct = &filter;
+      plan.direct = filter;
       if (stats != nullptr) {
         stats->strategy = FilterScanStats::Strategy::kPost;
         stats->selectivity_bp =
@@ -344,11 +449,10 @@ IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
     // The ablation flag keeps validity out of the bitmap (deferred to
     // materialization), matching the unfiltered scan's contract.
     plan.bits = std::make_shared<const MaterializedFilter>(filters_.Materialize(
-        filter, category_filter,
+        *filter, category_filter,
         config_.filter_invalid_during_scan ? &valid_ : nullptr));
     materialize_micros = watch.ElapsedMicros();
   }
-  plan.use_filter = true;
   const double selectivity = plan.bits->selectivity();
   if (plan.bits->matches == 0) {
     plan.empty_result = true;
@@ -404,17 +508,17 @@ std::vector<ScoredImage> IvfIndex::ScanProbes(
     CategoryId category_filter, const MaterializedFilter* filter,
     bool post_filter, FilterScanStats* stats,
     const FilterExpression* direct_filter) const {
-  assert(query.size() == dim());
   alignas(kCacheLineBytes) float stack_query[kMaxStackQueryFloats];
   AlignedArray<float> heap_query;
-  const float* padded = PadQuery(query, stack_query, heap_query);
-  const float query_norm = SquaredNorm(padded, dim());
-  TopK topk(k);
+  float* query_scan = QueryScratch(stack_query, heap_query);
+  const float query_norm = PrepareQuery(query, query_scan);
+  const Admission admission{filter, post_filter, direct_filter,
+                            category_filter};
+  TopK topk(ScanDepth(k));
   for (const std::uint32_t list : probes) {
-    ScanListPadded(list, padded, query_norm, category_filter, filter,
-                   post_filter, direct_filter, stats, topk);
+    ScanList(list, query_scan, query_norm, admission, stats, topk);
   }
-  return topk.TakeSorted();
+  return Finish(query, k, topk);
 }
 
 std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
@@ -441,28 +545,18 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
                                         Micros io_budget_micros,
                                         TierScanStats* tier_stats) const {
   assert(query.size() == dim());
-  const std::size_t nprobe =
-      nprobe_override == 0 ? config_.nprobe : nprobe_override;
-  FilterPlan plan;
-  if (filter != nullptr && !filter->empty()) {
-    plan = PlanFilteredScan(*filter, category_filter, nprobe, stats);
-    // Zero matches: empty-but-successful, no scan work at all.
-    if (plan.empty_result) return {};
-  } else {
-    plan.nprobe = nprobe;
-    if (stats != nullptr) {
-      *stats = FilterScanStats{};
-      stats->universe = forward_.size();
-    }
-  }
+  const FilterPlan plan =
+      PlanFilteredScan(filter, category_filter, nprobe_override, stats);
+  // Zero matches: empty-but-successful, no scan work at all.
+  if (plan.empty_result) return {};
   // "each searcher node identifies the cluster that is most similar to the
   // queried image based on its features" (Section 2.4), generalized to the
   // standard multi-probe recall knob.
   std::vector<std::uint32_t> probes =
       quantizer_->NearestCentroids(query, plan.nprobe);
-  // Tiered mode: pin the probed lists before the fused kernel touches any
-  // row. The guard keeps them evict-exempt for the whole scan; probes past
-  // the io budget were dropped (reduced effective nprobe).
+  // Tiered mode: pin the probed lists before the kernel touches any row.
+  // The guard keeps them evict-exempt for the whole scan; probes past the io
+  // budget were dropped (reduced effective nprobe).
   TieredListStore::PinGuard guard;
   if (tiered_store_ != nullptr) {
     guard = tiered_store_->Pin(probes, io_budget_micros, tier_stats);
@@ -505,30 +599,21 @@ std::vector<std::vector<SearchHit>> IvfIndex::SearchBatch(
     const IvfBatchQuery& bq = queries[i];
     assert(bq.query.size() == dim());
     views.push_back(bq.query);
-    const std::size_t nprobe = bq.nprobe == 0 ? config_.nprobe : bq.nprobe;
-    if (bq.filter != nullptr && !bq.filter->empty()) {
-      const std::uint64_t hash = bq.filter->Hash();
-      SharedBitmap* match = nullptr;
-      for (SharedBitmap& s : shared) {
-        if (s.hash == hash && s.category == bq.category_filter &&
-            *s.expr == *bq.filter) {
-          match = &s;
-          break;
-        }
+    const bool filtered = bq.filter != nullptr && !bq.filter->empty();
+    const std::uint64_t hash = filtered ? bq.filter->Hash() : 0;
+    SharedBitmap* match = nullptr;
+    for (SharedBitmap& s : shared) {
+      if (filtered && s.hash == hash && s.category == bq.category_filter &&
+          *s.expr == *bq.filter) {
+        match = &s;
+        break;
       }
-      plans[i] = PlanFilteredScan(*bq.filter, bq.category_filter, nprobe,
-                                  bq.filter_stats,
-                                  match != nullptr ? match->bits : nullptr);
-      if (match == nullptr) {
-        shared.push_back(
-            {hash, bq.category_filter, bq.filter, plans[i].bits});
-      }
-    } else {
-      plans[i].nprobe = nprobe;
-      if (bq.filter_stats != nullptr) {
-        *bq.filter_stats = FilterScanStats{};
-        bq.filter_stats->universe = forward_.size();
-      }
+    }
+    plans[i] = PlanFilteredScan(bq.filter, bq.category_filter, bq.nprobe,
+                                bq.filter_stats,
+                                match != nullptr ? match->bits : nullptr);
+    if (filtered && match == nullptr) {
+      shared.push_back({hash, bq.category_filter, bq.filter, plans[i].bits});
     }
     nprobes.push_back(plans[i].nprobe);
   }
@@ -546,83 +631,68 @@ std::vector<std::vector<SearchHit>> IvfIndex::SearchBatch(
       probes[i] = guards.back().pinned();
     }
   }
-  // All padded queries in one aligned block, with their norms.
-  AlignedArray<float> padded = AllocateAligned<float>(n * padded_dim_);
+  // Every query's scan input in one aligned block, with the flat norms.
+  const std::size_t scan_floats = QueryScanFloats();
+  AlignedArray<float> query_scans = AllocateAligned<float>(n * scan_floats);
   std::vector<float> query_norms(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(padded.get() + i * padded_dim_, queries[i].query.data(),
-                dim() * sizeof(float));
-    query_norms[i] = SquaredNorm(padded.get() + i * padded_dim_, dim());
+    query_norms[i] =
+        PrepareQuery(queries[i].query, query_scans.get() + i * scan_floats);
   }
   // Scan in list order so a list probed by several queries is swept
   // back-to-back while its rows are still in cache.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;  // (list, query)
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (list, query)
   for (std::size_t i = 0; i < n; ++i) {
     if (plans[i].empty_result) continue;  // zero-match filter: no scan work
     for (const std::uint32_t list : probes[i]) {
-      plan.emplace_back(list, static_cast<std::uint32_t>(i));
+      order.emplace_back(list, static_cast<std::uint32_t>(i));
     }
   }
-  std::stable_sort(plan.begin(), plan.end(),
+  std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<TopK> topks;
   topks.reserve(n);
-  for (const IvfBatchQuery& bq : queries) topks.emplace_back(bq.k);
-  for (const auto& [list, qi] : plan) {
+  for (const IvfBatchQuery& bq : queries) topks.emplace_back(ScanDepth(bq.k));
+  for (const auto& [list, qi] : order) {
     const FilterPlan& fp = plans[qi];
-    ScanListPadded(list, padded.get() + qi * padded_dim_, query_norms[qi],
-                   fp.bits != nullptr ? kNoCategoryFilter
-                                      : queries[qi].category_filter,
-                   fp.bits.get(), fp.post_mode, fp.direct,
-                   queries[qi].filter_stats, topks[qi]);
+    const Admission admission{
+        fp.bits.get(), fp.post_mode, fp.direct,
+        fp.bits != nullptr ? kNoCategoryFilter : queries[qi].category_filter};
+    ScanList(list, query_scans.get() + qi * scan_floats, query_norms[qi],
+             admission, queries[qi].filter_stats, topks[qi]);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = MaterializeRanked(topks[i].TakeSorted());
+    out[i] = MaterializeRanked(Finish(queries[i].query, queries[i].k, topks[i]));
   }
   return out;
 }
 
 std::vector<SearchHit> IvfIndex::SearchExhaustive(FeatureView query,
                                                   std::size_t k) const {
-  assert(query.size() == dim());
-  alignas(kCacheLineBytes) float stack_query[kMaxStackQueryFloats];
-  AlignedArray<float> heap_query;
-  const float* padded = PadQuery(query, stack_query, heap_query);
-  const DistanceKernels& kernels = Kernels();
-  const std::size_t stride = padded_dim_;
-  TopK topk(k);
-  // Every list's block, whole-run distances, validity always applied (ground
-  // truth ignores the scan-filter ablation flag, as the seed did).
-  for (const auto& block : blocks_) {
-    block->ForEachRun([&](const LocalId* ids, const std::uint8_t* payload,
-                          const float* /*norms*/, std::size_t count) {
-      const float* rows = reinterpret_cast<const float*>(payload);
-      float dists[kScanRunEntries];
-      kernels.l2sq_scan(padded, rows, stride, stride, count, dists);
-      for (std::size_t j = 0; j < count; ++j) {
-        if (!valid_.Get(ids[j])) continue;
-        topk.Offer(static_cast<ImageId>(ids[j]), dists[j]);
-      }
-    });
-  }
-  std::vector<SearchHit> hits;
-  for (const ScoredImage& scored : topk.TakeSorted()) {
-    hits.push_back(MaterializeHit(scored));
-  }
-  return hits;
+  return ExhaustiveScan(query, k, nullptr);
 }
 
 std::vector<SearchHit> IvfIndex::SearchExhaustive(
     FeatureView query, std::size_t k, const FilterExpression& filter) const {
-  assert(query.size() == dim());
+  return ExhaustiveScan(query, k, &filter);
+}
+
+std::vector<SearchHit> IvfIndex::ExhaustiveScan(
+    FeatureView query, std::size_t k, const FilterExpression* filter) const {
+  if (pq_ != nullptr) {
+    throw std::logic_error("SearchExhaustive needs a flat-coded index");
+  }
   alignas(kCacheLineBytes) float stack_query[kMaxStackQueryFloats];
   AlignedArray<float> heap_query;
-  const float* padded = PadQuery(query, stack_query, heap_query);
+  float* padded = QueryScratch(stack_query, heap_query);
+  PrepareQuery(query, padded);
   const DistanceKernels& kernels = Kernels();
   const std::size_t stride = padded_dim_;
   TopK topk(k);
-  // Predicates evaluated per candidate straight off the forward index — the
-  // slow, obviously-correct oracle the bitmap path is checked against.
+  // Every list's block, whole-run distances, validity always applied (ground
+  // truth ignores the scan-filter ablation flag, as the seed did). Filter
+  // predicates are evaluated per candidate straight off the forward index —
+  // the slow, obviously-correct oracle the bitmap path is checked against.
   for (const auto& block : blocks_) {
     block->ForEachRun([&](const LocalId* ids, const std::uint8_t* payload,
                           const float* /*norms*/, std::size_t count) {
@@ -631,8 +701,12 @@ std::vector<SearchHit> IvfIndex::SearchExhaustive(
       kernels.l2sq_scan(padded, rows, stride, stride, count, dists);
       for (std::size_t j = 0; j < count; ++j) {
         if (!valid_.Get(ids[j])) continue;
-        const AttributeSnapshot snapshot = forward_.Get(ids[j]);
-        if (!filter.Matches(snapshot.category, snapshot.attributes)) continue;
+        if (filter != nullptr) {
+          const AttributeSnapshot snapshot = forward_.Get(ids[j]);
+          if (!filter->Matches(snapshot.category, snapshot.attributes)) {
+            continue;
+          }
+        }
         topk.Offer(static_cast<ImageId>(ids[j]), dists[j]);
       }
     });
@@ -645,17 +719,18 @@ std::vector<SearchHit> IvfIndex::SearchExhaustive(
 }
 
 void IvfIndex::ForEachEntry(
-    const std::function<void(LocalId, const AttributeSnapshot&, FeatureView,
-                             bool)>& visit) const {
+    const std::function<void(LocalId, const AttributeSnapshot&,
+                             const std::uint8_t*, FeatureView, bool)>& visit)
+    const {
   const std::size_t n = forward_.size();
   for (std::size_t local = 0; local < n; ++local) {
     const auto id = static_cast<LocalId>(local);
-    visit(id, forward_.Get(id), FeatureView(local_feature_[local], dim()),
-          valid_.Get(local));
+    visit(id, forward_.Get(id), local_row_[local],
+          raw_ != nullptr ? raw_->At(local) : FeatureView(), valid_.Get(local));
   }
 }
 
-bool IvfIndex::feature_storage_aligned() const noexcept {
+bool IvfIndex::scan_storage_aligned() const noexcept {
   for (const auto& block : blocks_) {
     if (!block->storage_aligned()) return false;
   }
@@ -666,13 +741,52 @@ IvfIndexStats IvfIndex::Stats() const {
   IvfIndexStats stats;
   stats.total_images = forward_.size();
   stats.valid_images = valid_.CountValid();
-  stats.num_lists = lists_.size();
-  for (const auto& list : lists_) {
-    stats.largest_list = std::max(stats.largest_list, list->VisibleSize());
-    stats.list_expansions += list->expansions();
+  stats.num_lists = blocks_.size();
+  for (const auto& block : blocks_) {
+    stats.largest_list = std::max(stats.largest_list, block->size());
+    stats.list_expansions += block->chunk_growths();
+    stats.code_memory_bytes += block->memory_bytes();
   }
   stats.buffer_bytes = forward_.buffer_bytes_used();
+  stats.code_bytes_per_vector = blocks_.front()->payload_stride_bytes();
+  stats.raw_memory_bytes = raw_ ? raw_->size() * dim() * sizeof(float) : 0;
   return stats;
+}
+
+std::vector<SearchHit> PostFilteredSearch(const IvfIndex& index,
+                                          FeatureView query, std::size_t k,
+                                          std::size_t nprobe_override,
+                                          CategoryId category_filter,
+                                          const FilterExpression& filter,
+                                          FilterScanStats* stats) {
+  if (stats != nullptr) {
+    *stats = FilterScanStats{};
+    stats->universe = index.size();
+  }
+  if (filter.empty()) {
+    return index.Search(query, k, nprobe_override, category_filter);
+  }
+  if (stats != nullptr) stats->strategy = FilterScanStats::Strategy::kFallback;
+  // Fetch a growing multiple of k and keep the hits that satisfy the
+  // predicates.
+  const std::size_t total = index.size();
+  std::size_t fetch = std::max<std::size_t>(k * 4, 64);
+  for (;;) {
+    std::vector<SearchHit> raw =
+        index.Search(query, fetch, nprobe_override, category_filter);
+    std::vector<SearchHit> kept;
+    kept.reserve(k);
+    for (SearchHit& hit : raw) {
+      if (!filter.Matches(hit.category, hit.attributes)) continue;
+      kept.push_back(std::move(hit));
+      if (kept.size() == k) break;
+    }
+    if (kept.size() == k || raw.size() < fetch || fetch >= total) {
+      if (stats != nullptr) stats->matches = kept.size();
+      return kept;
+    }
+    fetch = std::min(total, fetch * 4);
+  }
 }
 
 }  // namespace jdvs

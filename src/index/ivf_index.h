@@ -3,16 +3,29 @@
 // Combines everything Sections 2.2-2.4 describe for one partition of the
 // image set: the coarse quantizer (k-means classes), the N inverted lists,
 // the forward index with product attributes, the per-image feature store
-// (needed to compute Euclidean distances during the inverted-list scan), and
-// the validity bitmap.
+// (needed to compute distances during the inverted-list scan), and the
+// validity bitmap.
 //
-// Scan layout: each inverted list owns a ScanBlock holding its members'
-// features contiguously in append order — 64-byte-aligned rows of
-// padded_dim() floats with zeroed padding — so the hot loop is a linear,
-// prefetch-friendly sweep through the runtime-dispatched batch kernels
-// (vecmath/kernels.h) instead of a per-candidate pointer chase. The
-// InvertedList remains the id-ordering authority (expansion protocol,
-// stats); the ScanBlock is the distance-computation layout.
+// Scan layout: each inverted list is stored exactly once, as a ScanBlock
+// holding its members' ids and payload rows contiguously in append order,
+// 64-byte aligned, so the hot loop is a linear, prefetch-friendly sweep
+// through the runtime-dispatched batch kernels (vecmath/kernels.h) instead
+// of a per-candidate pointer chase. The payload is the index's list codec,
+// fixed at construction by whether a trained ProductQuantizer is given:
+//
+//  * flat (no quantizer): rows of padded_dim() floats with zeroed padding,
+//    plus each row's squared norm, scanned by the fused l2sq_scan_filter
+//    kernel — the paper's exact-distance index;
+//  * PQ: code_bytes() PQ codes per row (a 64-d float feature, 256 B,
+//    compresses to 8-16 B — what makes the paper's "100 billion images"
+//    scale feasible), scanned by pq_adc_scan against a per-query
+//    asymmetric-distance (ADC) table. With `rerank_candidates > 0` the index
+//    also keeps every raw feature and re-scores that many ADC candidates
+//    exactly — the IVFADC+R recipe.
+//
+// The codec branches only where the payload is touched: append, per-query
+// setup, the per-list scan and the rerank finish. Metadata writes, filter
+// planning, batching, tier pinning and materialization are shared.
 //
 // Concurrency contract (matching the paper's architecture): exactly one
 // writer — the searcher applies every index mutation, both real-time updates
@@ -25,7 +38,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,21 +50,20 @@
 #include "index/bitmap.h"
 #include "index/forward_index.h"
 #include "index/image_index.h"
-#include "index/inverted_index.h"
 #include "index/scan_block.h"
 #include "mq/message.h"
+#include "pq/codebook.h"
 #include "tier/tiered_store.h"
 #include "vecmath/aligned.h"
 #include "vecmath/topk.h"
 #include "vecmath/vector.h"
+#include "vecmath/vector_set.h"
 
 namespace jdvs {
 
 struct IvfIndexConfig {
   // Number of inverted lists probed per search (recall knob).
   std::size_t nprobe = 4;
-  // Pre-allocated capacity of each inverted list.
-  std::size_t initial_list_capacity = 64;
   // When false, the validity bitmap is ignored during the scan and invalid
   // images are filtered only when materializing results — the "no bitmap
   // optimization" ablation baseline.
@@ -68,6 +79,10 @@ struct IvfIndexConfig {
   // be found under an extreme filter.
   double filter_widen_threshold = 0.01;
   std::size_t filter_widen_factor = 4;
+  // PQ codec only (the flat codec ignores it): 0 ranks purely by ADC
+  // distance; otherwise this many ADC candidates are re-ranked with exact
+  // distances, and the index keeps every raw feature for that purpose.
+  std::size_t rerank_candidates = 0;
 };
 
 struct IvfIndexStats {
@@ -75,8 +90,15 @@ struct IvfIndexStats {
   std::size_t valid_images = 0;    // bitmap population
   std::size_t num_lists = 0;
   std::size_t largest_list = 0;
+  // Scan-storage chunk growths past each list's first chunk, summed.
   std::uint64_t list_expansions = 0;
   std::size_t buffer_bytes = 0;
+  // List codec footprint: payload bytes per entry (padded float row or PQ
+  // code), heap bytes allocated by the lists' scan storage (ids, payload
+  // and norms; mapped tiered payload excluded), and the PQ rerank store.
+  std::size_t code_bytes_per_vector = 0;
+  std::size_t code_memory_bytes = 0;
+  std::size_t raw_memory_bytes = 0;
 };
 
 // One query of an in-searcher micro-batch: the per-query knobs of Search()
@@ -100,11 +122,15 @@ struct IvfBatchQuery {
   TierScanStats* tier_stats = nullptr;
 };
 
-class IvfIndex final : public ImageIndex {
+class IvfIndex {
  public:
+  // Flat codec.
+  explicit IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
+                    const IvfIndexConfig& config = {});
+  // PQ codec: `pq` must be trained on the quantizer's dimension.
   IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
-           const IvfIndexConfig& config = {},
-           CopyExecutor copy_executor = InlineCopyExecutor());
+           std::shared_ptr<const ProductQuantizer> pq,
+           const IvfIndexConfig& config = {});
 
   IvfIndex(const IvfIndex&) = delete;
   IvfIndex& operator=(const IvfIndex&) = delete;
@@ -112,59 +138,59 @@ class IvfIndex final : public ImageIndex {
   // ---- Writer operations (single writer) ----
 
   // Inserts a brand-new image (Figure 8): forward-index entry + attributes,
-  // URL into the buffer, feature stored, image id appended to the inverted
-  // list chosen by the quantizer, validity bit set. Returns the local id.
+  // URL into the buffer, feature stored (or encoded), image id appended to
+  // the inverted list chosen by the quantizer, validity bit set. Returns the
+  // local id.
   LocalId AddImage(std::string_view image_url, ProductId product_id,
                    CategoryId category, const ProductAttributes& attributes,
-                   std::string_view detail_url, FeatureView feature) override;
+                   std::string_view detail_url, FeatureView feature);
 
   // True if this image URL already has a forward-index entry (the re-listing
   // reuse path: no re-extraction, no new entry — just revalidation).
-  bool HasImage(std::string_view image_url) const override;
-  bool HasProduct(ProductId product_id) const override;
+  bool HasImage(std::string_view image_url) const;
+  bool HasProduct(ProductId product_id) const;
 
   // Updates numeric attributes (and optionally the detail URL) on every
   // image of the product in this partition (Figure 7). Returns the number of
   // entries touched.
   std::size_t UpdateProductAttributes(ProductId product_id,
                                       const ProductAttributes& attributes,
-                                      std::string_view detail_url = {}) override;
+                                      std::string_view detail_url = {});
 
   // Marks all of the product's images (in this partition) valid/invalid —
   // O(1) per image, never touches the inverted lists (Deletion, Figure 6).
   // Returns the number of bits flipped.
-  std::size_t SetProductValidity(ProductId product_id, bool valid) override;
+  std::size_t SetProductValidity(ProductId product_id, bool valid);
 
   // Marks one image valid/invalid; false if unknown.
-  bool SetImageValidity(std::string_view image_url, bool valid) override;
+  bool SetImageValidity(std::string_view image_url, bool valid);
 
   bool IsImageValid(std::string_view image_url) const;
-
-  // Finishes any outstanding inverted-list expansions (writer housekeeping).
-  void FinishPendingExpansions() override;
 
   // ---- Reader operations (any thread, lock-free) ----
 
   // Top-k most similar valid images to `query`. `nprobe_override` of 0 uses
-  // the configured nprobe; `category_filter` optionally restricts the scan.
-  using ImageIndex::Search;
+  // the configured nprobe; `category_filter` optionally restricts the scan
+  // (the production use of the detector output, Section 2.4).
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                std::size_t nprobe_override,
-                                CategoryId category_filter) const override;
+                                std::size_t nprobe_override = 0,
+                                CategoryId category_filter =
+                                    kNoCategoryFilter) const;
 
   // Hybrid filtered search with true predicate pushdown: the filter is
   // materialized once into a bitmap (category tags AND validity AND numeric
   // ranges), a selectivity-adaptive strategy is chosen (pre-filter
   // sub-blocks / post-filter survivors / widen nprobe — see the
   // IvfIndexConfig knobs) and the scan skips wholly-dead 64-entry
-  // sub-blocks without touching their feature rows.
+  // sub-blocks without touching their rows. The PQ rerank operates on
+  // already-filtered candidates, so predicates survive the IVFADC+R finish.
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
                                 std::size_t nprobe_override,
                                 CategoryId category_filter,
                                 const FilterExpression& filter,
-                                FilterScanStats* stats = nullptr) const override;
+                                FilterScanStats* stats = nullptr) const;
 
-  // Full-fat search: every per-query knob in one call (the virtuals above
+  // Full-fat search: every per-query knob in one call (the overloads above
   // forward here). `filter` may be null or empty (unfiltered). In tiered
   // mode the probed lists are pinned in the residency cache before the scan;
   // `io_budget_micros` bounds the accumulated cold-list fault time (0 = no
@@ -181,16 +207,16 @@ class IvfIndex final : public ImageIndex {
   // Answers a group of concurrently admitted queries in one pass:
   // coarse assignment is a single centroid-major sweep for the whole batch,
   // and inverted lists probed by several queries are scanned back-to-back so
-  // their feature rows are read from cache instead of memory. Results are
-  // identical to calling Search() per query. out[i] answers queries[i].
+  // their rows are read from cache instead of memory. Results are identical
+  // to calling Search() per query. out[i] answers queries[i].
   std::vector<std::vector<SearchHit>> SearchBatch(
       std::span<const IvfBatchQuery> queries) const;
 
   // Scan stage alone: top-k (local id, distance) pairs over an
-  // already-chosen probe set, without forward-index materialization. The
-  // building block Search() composes (probe -> ScanProbes -> materialize);
-  // exposed for callers that schedule coarse probing themselves and for
-  // stage-level benchmarking.
+  // already-chosen probe set, without forward-index materialization (PQ:
+  // after the rerank). The building block Search() composes (probe ->
+  // ScanProbes -> materialize); exposed for callers that schedule coarse
+  // probing themselves and for stage-level benchmarking.
   std::vector<ScoredImage> ScanProbes(
       FeatureView query, std::size_t k,
       std::span<const std::uint32_t> probes,
@@ -200,45 +226,53 @@ class IvfIndex final : public ImageIndex {
       const FilterExpression* direct_filter = nullptr) const;
 
   // Brute-force scan over all valid images (ground truth for recall tests).
+  // Flat codec only: throws std::logic_error on a PQ-coded index, whose
+  // rows hold no exact features to be ground truth over.
   std::vector<SearchHit> SearchExhaustive(FeatureView query,
                                           std::size_t k) const;
 
   // Brute-force filtered ground truth: every valid image matching the
   // predicates, exact distances (subtract form), top-k. The oracle the
-  // hybrid property tests compare pushdown against.
+  // hybrid property tests compare pushdown against. Flat codec only.
   std::vector<SearchHit> SearchExhaustive(FeatureView query, std::size_t k,
                                           const FilterExpression& filter) const;
 
-  // Visits every entry in local-id order with its attributes, feature and
-  // validity — the iteration snapshotting and replication tooling builds on.
-  // Safe concurrently with searches; must not race the writer (the per-local
-  // feature pointers are writer-owned state).
+  // Visits every entry in local-id order with its attributes, its list row
+  // (padded_dim() floats, or the code_bytes() PQ code), the raw feature of
+  // the PQ rerank store (empty without one) and validity — the iteration
+  // snapshotting and replication tooling builds on. Safe concurrently with
+  // searches; must not race the writer (the per-local row pointers are
+  // writer-owned state).
   void ForEachEntry(
-      const std::function<void(LocalId, const AttributeSnapshot&, FeatureView,
+      const std::function<void(LocalId, const AttributeSnapshot&,
+                               const std::uint8_t* row, FeatureView raw,
                                bool valid)>& visit) const;
 
   IvfIndexStats Stats() const;
-  std::size_t size() const override { return forward_.size(); }
-  std::size_t dim() const override { return quantizer_->dim(); }
-  // Per-row scan stride in floats (dim rounded up to whole cache lines).
+  std::size_t size() const { return forward_.size(); }
+  std::size_t dim() const { return quantizer_->dim(); }
+  // Flat codec's per-row scan stride in floats (dim rounded up to whole
+  // cache lines).
   std::size_t padded_dim() const noexcept { return padded_dim_; }
   const CoarseQuantizer& quantizer() const { return *quantizer_; }
+  // The PQ codec's quantizer; null for a flat-coded index.
+  const ProductQuantizer* pq() const noexcept { return pq_.get(); }
   const IvfIndexConfig& config() const { return config_; }
   // The attribute filter index this partition maintains alongside the
   // forward index (read-only: snapshot verification and tests).
   const AttributeFilterIndex& attribute_filters() const { return filters_; }
 
-  // True when every published feature row sits on a 64-byte boundary — the
+  // True when every published list row sits on a 64-byte boundary — the
   // layout invariant snapshot load re-checks before SIMD scans run on the
   // restored storage.
-  bool feature_storage_aligned() const noexcept;
+  bool scan_storage_aligned() const noexcept;
 
-  // ---- Tiered (mmap) restore hooks: writer-only, load-time ----
+  // ---- Restore hooks: writer-only, load-time ----
 
   // Appends an entry's metadata only — forward index, attribute filters,
-  // validity, lookup maps — without touching the inverted lists or scan
-  // storage; the feature row arrives later through AttachFrozenList. The
-  // restore-path twin of AddImage for the v4 mapped loader.
+  // validity, lookup maps — without touching the inverted lists; the row
+  // arrives later through AttachFrozenList. The restore-path twin of
+  // AddImage for the tiered mapped loader.
   LocalId AddImageMetadata(std::string_view image_url, ProductId product_id,
                            CategoryId category,
                            const ProductAttributes& attributes,
@@ -246,14 +280,24 @@ class IvfIndex final : public ImageIndex {
 
   // Installs list `list`'s frozen scan storage: `count` entries whose ids
   // and norms the index copies into heap arrays (the RAM-resident "head")
-  // and whose payload rows stay at `payload` — 64-byte aligned, padded_dim()
-  // stride, typically inside an mmap'd v4 snapshot, valid for the index's
-  // lifetime. Replays the ids into the InvertedList and resolves the
-  // per-local feature pointers. Must follow the AddImageMetadata calls that
-  // defined the ids; each list may be attached once, before any AddImage.
+  // and whose payload rows stay at `payload` — 64-byte aligned, one
+  // row per entry, typically inside an mmap'd tiered snapshot, valid for the
+  // index's lifetime. Resolves the per-local row pointers. Must follow the
+  // AddImageMetadata calls that defined the ids; each list may be attached
+  // once, before any AddImage.
   void AttachFrozenList(std::size_t list, const LocalId* ids,
                         const float* norms, const std::uint8_t* payload,
                         std::size_t count);
+
+  // PQ codec: inserts a pre-encoded entry into list `list` (the PQ snapshot
+  // restore path). Code and list are trusted as-is, so a restored index
+  // reproduces the original structure exactly. `raw_or_empty` feeds the
+  // rerank store when there is one; when empty, the decoded approximation
+  // is stored instead.
+  LocalId AddEncoded(std::string_view image_url, ProductId product_id,
+                     CategoryId category, const ProductAttributes& attributes,
+                     std::string_view detail_url, const PqCode& code,
+                     std::uint32_t list, FeatureView raw_or_empty);
 
   // Attaches the residency cache; searches pin their probe sets through it
   // from then on. The store must own the mapping AttachFrozenList's payload
@@ -271,7 +315,7 @@ class IvfIndex final : public ImageIndex {
   }
 
   // Per-list scan storage introspection (tiered snapshot writer).
-  std::size_t num_lists() const noexcept { return lists_.size(); }
+  std::size_t num_lists() const noexcept { return blocks_.size(); }
   std::size_t ListEntryCount(std::size_t list) const {
     return blocks_[list]->size();
   }
@@ -288,55 +332,97 @@ class IvfIndex final : public ImageIndex {
   // at all — plus the strategy the selectivity picked. Shared by Search and
   // SearchBatch.
   struct FilterPlan {
-    std::shared_ptr<const MaterializedFilter> bits;  // null in direct mode
+    std::shared_ptr<const MaterializedFilter> bits;  // null unless built
     // Direct post mode: predicates evaluated only on kernel survivors,
-    // nothing materialized (the broad-filter fix from PR 8's open cut).
+    // nothing materialized (broad filters).
     const FilterExpression* direct = nullptr;
-    bool use_filter = false;    // false = unfiltered legacy scan
     bool post_mode = false;     // survivors tested vs sub-block masks
     bool empty_result = false;  // zero matches: skip the scan entirely
     std::size_t nprobe = 0;     // effective probe count (possibly widened)
   };
-  // `reuse` (optional) is an already-materialized bitmap for this exact
-  // (filter, category_filter) — SearchBatch shares one across a batch's
-  // queries with equal FilterExpression::Hash().
+  // What survivor admission needs to know about one query. A non-null
+  // `bits` folds validity and the category tag already: `post` tests kernel
+  // survivors against it, otherwise sub-block masks are gathered first and
+  // wholly-dead sub-blocks skip the kernel. A non-null `direct` (exclusive
+  // with `bits`) post-filters survivors straight against the predicates.
+  struct Admission {
+    const MaterializedFilter* bits = nullptr;
+    bool post = false;
+    const FilterExpression* direct = nullptr;
+    CategoryId category = kNoCategoryFilter;
+  };
+
+  // Plans one query: `filter` null or empty means unfiltered. `reuse`
+  // (optional) is an already-materialized bitmap for this exact (filter,
+  // category_filter) — SearchBatch shares one across a batch's queries with
+  // equal FilterExpression::Hash().
   FilterPlan PlanFilteredScan(
-      const FilterExpression& filter, CategoryId category_filter,
-      std::size_t nprobe, FilterScanStats* stats,
+      const FilterExpression* filter, CategoryId category_filter,
+      std::size_t nprobe_override, FilterScanStats* stats,
       std::shared_ptr<const MaterializedFilter> reuse = nullptr) const;
   // Sampled selectivity estimate (bounded forward-index probes, no bitmap):
   // the gate that sends broad filters into direct post mode.
   double EstimateFilterSelectivity(const FilterExpression& filter,
                                    CategoryId category_filter) const;
 
+  // Shared metadata append of AddImage / AddImageMetadata / AddEncoded:
+  // forward index, attribute filters and the writer's lookup maps.
+  LocalId AppendMetadata(std::string_view image_url, ProductId product_id,
+                         CategoryId category,
+                         const ProductAttributes& attributes,
+                         std::string_view detail_url);
+  // Appends `local`'s row to list `list` and records where it landed.
+  void AppendRow(std::uint32_t list, LocalId local, const void* payload,
+                 float norm);
+
+  // ---- The codec-specific steps ----
+
+  // Floats of per-query scan input: padded_dim() (flat) or the ADC table's
+  // num_subspaces x codebook_size (PQ).
+  std::size_t QueryScanFloats() const noexcept;
+  // Per-query setup into `out` (QueryScanFloats() floats): the query padded
+  // with zeros and its squared L2 norm as the return value (flat — the
+  // fused kernel computes distances in the dot-product form against per-row
+  // norms), or the ADC table (PQ, returns 0).
+  float PrepareQuery(FeatureView query, float* out) const;
+  // QueryScanFloats() of scratch: `stack_buf` (kMaxStackQueryFloats
+  // capacity) when it fits, else a fresh aligned heap block kept alive by
+  // `heap_buf`.
+  float* QueryScratch(float* stack_buf, AlignedArray<float>& heap_buf) const;
+  // Scans one list against a prepared query, offering admitted survivors.
+  void ScanList(std::size_t list, const float* query_scan, float query_norm,
+                const Admission& admission, FilterScanStats* stats,
+                TopK& topk) const;
+  // Survivor heap depth for a top-k query: k, or the PQ rerank shortlist.
+  std::size_t ScanDepth(std::size_t k) const noexcept;
+  // Ranks a query's scan survivors: the PQ rerank against exact distances,
+  // or the sorted top-k as is.
+  std::vector<ScoredImage> Finish(FeatureView query, std::size_t k,
+                                  TopK& topk) const;
+
+  // The sub-block loop both codecs' scans share: mask gathering, the
+  // codec's kernel (`kernel(begin, count, threshold, keep, keep_dist)`
+  // returns the survivors at or under the threshold), survivor admission.
+  template <typename SubBlockKernel>
+  void ScanRun(const LocalId* ids, std::size_t count,
+               const Admission& admission, FilterScanStats* stats,
+               TopK& topk, SubBlockKernel&& kernel) const;
+  bool Admits(const Admission& admission, LocalId local,
+              bool in_alive_mask) const;
+
   SearchHit MaterializeHit(const ScoredImage& scored) const;
   // Materializes ranked scan results, applying the late validity filter when
   // the ablation flag disabled filtering during the scan.
   std::vector<SearchHit> MaterializeRanked(
       std::span<const ScoredImage> ranked) const;
-  // Scans one list given a query padded to padded_dim() (zeroed tail,
-  // 64-byte-aligned base) and its squared L2 norm (the fused scan kernel
-  // computes distances in the dot-product form against per-row norms stored
-  // in the scan block). A non-null `filter` replaces the per-survivor
-  // validity/category checks (the bitmap already folds them): post_filter
-  // tests kernel survivors only, otherwise sub-block masks are gathered
-  // first and wholly-dead sub-blocks skip the kernel.
-  // A non-null `direct` (mutually exclusive with `filter`) post-filters
-  // kernel survivors straight against the predicates — no bitmap exists.
-  void ScanListPadded(std::size_t list, const float* padded_query,
-                      float query_norm, CategoryId category_filter,
-                      const MaterializedFilter* filter, bool post_filter,
-                      const FilterExpression* direct, FilterScanStats* stats,
-                      TopK& topk) const;
-  // Copies `query` into a padded row: `stack_buf` (kMaxStackQueryFloats
-  // capacity) when it fits, else a fresh aligned heap block kept alive by
-  // `heap_buf`.
-  const float* PadQuery(FeatureView query, float* stack_buf,
-                        AlignedArray<float>& heap_buf) const;
+  // Both SearchExhaustive forms; `filter` may be null.
+  std::vector<SearchHit> ExhaustiveScan(FeatureView query, std::size_t k,
+                                        const FilterExpression* filter) const;
 
   static constexpr std::size_t kMaxStackQueryFloats = 1024;
 
   std::shared_ptr<const CoarseQuantizer> quantizer_;
+  std::shared_ptr<const ProductQuantizer> pq_;  // null = flat codec
   IvfIndexConfig config_;
   const std::size_t padded_dim_;
   ForwardIndex forward_;
@@ -344,20 +430,34 @@ class IvfIndex final : public ImageIndex {
   // Attribute filter index (per-tag bitmaps + numeric columns), appended in
   // lockstep with forward_ so LocalIds align.
   AttributeFilterIndex filters_;
-  std::vector<std::unique_ptr<InvertedList>> lists_;
-  // Per-list contiguous feature rows in list order (the scan layout).
+  // The inverted lists: per-list contiguous rows in list order.
   std::vector<std::unique_ptr<ScanBlock>> blocks_;
-  // Writer-owned scratch row for padding incoming features.
+  // PQ rerank store (raw features by local id); null unless the PQ codec
+  // re-ranks.
+  std::unique_ptr<VectorSet> raw_;
+  // Writer-owned scratch row for padding incoming features (flat codec).
   AlignedArray<float> pad_scratch_;
   // Writer-owned lookup state (never touched by Search).
-  // local id -> its feature row inside a ScanBlock (pointers are stable:
-  // chunks never move once allocated).
-  std::vector<const float*> local_feature_;
+  // local id -> its row inside a ScanBlock (pointers are stable: chunks
+  // never move once allocated).
+  std::vector<const std::uint8_t*> local_row_;
   std::unordered_map<std::string, LocalId> url_to_local_;
   std::unordered_map<ProductId, std::vector<LocalId>> product_to_locals_;
   // Residency cache for disk-backed frozen lists (null = fully RAM-resident;
   // attached once at load, before the index takes traffic).
   std::shared_ptr<TieredListStore> tiered_store_;
 };
+
+// The naive hybrid baseline: over-fetch through the unfiltered Search and
+// post-filter the hits, re-fetching with a growing multiple of k until k
+// survivors accumulate or the index is exhausted. Selective filters pay
+// recall; IvfIndex's filtered Search exists precisely to do better. Kept
+// as the comparison point for the pushdown (bench_filter_selectivity).
+std::vector<SearchHit> PostFilteredSearch(const IvfIndex& index,
+                                          FeatureView query, std::size_t k,
+                                          std::size_t nprobe_override,
+                                          CategoryId category_filter,
+                                          const FilterExpression& filter,
+                                          FilterScanStats* stats = nullptr);
 
 }  // namespace jdvs

@@ -4,9 +4,9 @@
 // per-partition feature store — one dependent pointer hop and a random-ish
 // cache line per candidate. ScanBlock is the scan-order layout that replaces
 // that indirection: each inverted list owns one ScanBlock holding its
-// members' payloads (padded float vectors for IvfIndex, packed PQ codes for
-// IvfPqIndex) contiguously in append order, SoA against a parallel LocalId
-// array, with every chunk base 64-byte aligned. A scan walks whole runs
+// members' payloads (padded float vectors or packed PQ codes, per the
+// IvfIndex list codec) contiguously in append order, SoA against a parallel
+// LocalId array, with every chunk base 64-byte aligned. A scan walks whole runs
 // linearly — exactly what the batch kernels in vecmath/kernels.h and the
 // hardware prefetcher want.
 //
@@ -17,10 +17,10 @@
 // the lock-free reader contract cheap: the chunk vector is reserved once and
 // never reallocates.
 //
-// Concurrency contract mirrors VectorSet / InvertedList: single writer (the
-// partition's searcher), lock-free readers. Chunks never move once
-// published; growth is published through an atomic size with release
-// ordering after the slot write.
+// Concurrency contract mirrors VectorSet: single writer (the partition's
+// searcher), lock-free readers. Chunks never move once published; growth is
+// published through an atomic size with release ordering after the slot
+// write.
 #pragma once
 
 #include <atomic>
@@ -109,6 +109,12 @@ class ScanBlock {
   // Bytes of payload + id storage allocated (capacity, not entries).
   std::size_t memory_bytes() const noexcept {
     return allocated_bytes_.load(std::memory_order_relaxed);
+  }
+  // Chunks allocated after the first: how often the list outgrew its
+  // storage.
+  std::size_t chunk_growths() const noexcept {
+    const std::size_t chunks = chunk_count_.load(std::memory_order_acquire);
+    return chunks == 0 ? 0 : chunks - 1;
   }
 
   // True when every published chunk base is 64-byte aligned (always, by

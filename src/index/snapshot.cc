@@ -5,10 +5,13 @@
 #include <map>
 #include <vector>
 
+#include "index/snapshot_io.h"
 #include "tier/tiered_snapshot.h"
 
 namespace jdvs {
 namespace {
+
+using namespace snapshot_io;
 
 constexpr std::uint64_t kMagic = 0x4A44565349445831ULL;  // "JDVSIDX1"
 // Version 2 adds the update high-water mark right after the version field;
@@ -21,50 +24,13 @@ constexpr std::uint64_t kMagic = 0x4A44565349445831ULL;  // "JDVSIDX1"
 // this writer still emits v3 and the loader dispatches v4 files there.
 constexpr std::uint32_t kVersion = 3;
 
-void WriteRaw(std::ostream& os, const void* data, std::size_t bytes) {
-  os.write(static_cast<const char*>(data),
-           static_cast<std::streamsize>(bytes));
-  if (!os) throw SnapshotError("snapshot write failed");
-}
-
-template <typename T>
-void WritePod(std::ostream& os, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WriteRaw(os, &value, sizeof(T));
-}
-
-void WriteString(std::ostream& os, std::string_view s) {
-  WritePod<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  WriteRaw(os, s.data(), s.size());
-}
-
-void ReadRaw(std::istream& is, void* data, std::size_t bytes) {
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
-    throw SnapshotError("snapshot truncated");
-  }
-}
-
-template <typename T>
-T ReadPod(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  ReadRaw(is, &value, sizeof(T));
-  return value;
-}
-
-std::string ReadString(std::istream& is) {
-  const auto size = ReadPod<std::uint32_t>(is);
-  if (size > (1u << 24)) throw SnapshotError("snapshot string too large");
-  std::string s(size, '\0');
-  ReadRaw(is, s.data(), size);
-  return s;
-}
-
 }  // namespace
 
 void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
                        std::uint64_t update_hwm) {
+  if (index.pq() != nullptr) {
+    throw SnapshotError("flat snapshot writer given a PQ-coded index");
+  }
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw SnapshotError("cannot open for writing: " + path);
 
@@ -75,7 +41,7 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
   // Index configuration.
   const IvfIndexConfig& config = index.config();
   WritePod<std::uint64_t>(os, config.nprobe);
-  WritePod<std::uint64_t>(os, config.initial_list_capacity);
+  WritePod<std::uint64_t>(os, kRetiredListCapacitySlot);
   WritePod<std::uint8_t>(os, config.filter_invalid_during_scan ? 1 : 0);
   WritePod<double>(os, config.filter_post_threshold);
   WritePod<double>(os, config.filter_widen_threshold);
@@ -94,7 +60,7 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
   WritePod<std::uint64_t>(os, index.size());
   std::map<CategoryId, std::uint64_t> category_populations;
   index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView feature, bool valid) {
+                         const std::uint8_t* row, FeatureView, bool valid) {
     WriteString(os, snapshot.image_url);
     WritePod<std::uint64_t>(os, snapshot.product_id);
     WritePod<std::uint32_t>(os, snapshot.category);
@@ -103,7 +69,7 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
     WritePod<std::uint64_t>(os, snapshot.attributes.praise);
     WriteString(os, snapshot.detail_url);
     WritePod<std::uint8_t>(os, valid ? 1 : 0);
-    WriteRaw(os, feature.data(), feature.size() * sizeof(float));
+    WriteRaw(os, row, index.dim() * sizeof(float));
     // Category bitmaps count every appended image, valid or not (validity
     // is a separate fold at materialization time).
     ++category_populations[snapshot.category];
@@ -122,7 +88,6 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
 }
 
 std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
-                                            CopyExecutor copy_executor,
                                             std::uint64_t* update_hwm) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("cannot open for reading: " + path);
@@ -137,8 +102,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
     // the generic entry point keep getting a fully RAM-resident index; use
     // LoadTieredSnapshot for mapped serving.
     is.close();
-    return internal::LoadTieredSnapshotHeap(path, std::move(copy_executor),
-                                            update_hwm);
+    return internal::LoadTieredSnapshotHeap(path, update_hwm);
   }
   if (version < 1 || version > kVersion) {
     throw SnapshotError("unsupported snapshot version " +
@@ -149,8 +113,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
 
   IvfIndexConfig config;
   config.nprobe = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  config.initial_list_capacity =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  ReadPod<std::uint64_t>(is);  // retired list-capacity slot
   config.filter_invalid_during_scan = ReadPod<std::uint8_t>(is) != 0;
   if (version >= 3) {
     config.filter_post_threshold = ReadPod<double>(is);
@@ -170,8 +133,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
   auto quantizer =
       std::make_shared<const CoarseQuantizer>(std::move(centroids), dim);
 
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), config,
-                                          std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), config);
   const auto count = ReadPod<std::uint64_t>(is);
   std::vector<float> feature(dim);
   std::vector<std::pair<std::string, bool>> validity;
@@ -195,7 +157,6 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
   for (const auto& [url, valid] : validity) {
     index->SetImageValidity(url, valid);
   }
-  index->FinishPendingExpansions();
   if (version >= 3) {
     // The AddImage replay above rebuilt the attribute filter index; verify
     // it reproduces the saved state before the index takes hybrid traffic —
@@ -229,7 +190,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
   // feature row the scan kernels will touch must sit on a cache-line
   // boundary. Cannot fail with the current allocator; a snapshot load is the
   // one place a foreign build/libc combination would surface it.
-  if (!index->feature_storage_aligned()) {
+  if (!index->scan_storage_aligned()) {
     throw SnapshotError("restored feature storage is not 64-byte aligned");
   }
   return index;

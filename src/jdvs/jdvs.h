@@ -39,9 +39,6 @@
 #include "index/realtime_indexer.h"
 #include "index/snapshot.h"
 #include "kvstore/kvstore.h"
-#include "hashing/binary_hash.h"
-#include "imi/multi_index.h"
-#include "lsh/lsh_index.h"
 #include "metrics/cdf.h"
 #include "metrics/latency_recorder.h"
 #include "metrics/qps_counter.h"
@@ -63,7 +60,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "pq/codebook.h"
-#include "pq/ivfpq_index.h"
 #include "pq/pq_snapshot.h"
 #include "qos/admission.h"
 #include "qos/deadline.h"

@@ -1,6 +1,5 @@
 #include "pq/codebook.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -105,15 +104,20 @@ FeatureVector ProductQuantizer::Decode(const PqCode& code) const {
 
 std::vector<float> ProductQuantizer::BuildDistanceTable(
     FeatureView query) const {
-  assert(query.size() == dim_);
   std::vector<float> table(num_subspaces_ * codebook_size_);
+  BuildDistanceTable(query, table.data());
+  return table;
+}
+
+void ProductQuantizer::BuildDistanceTable(FeatureView query,
+                                          float* table) const {
+  assert(query.size() == dim_);
   for (std::size_t s = 0; s < num_subspaces_; ++s) {
     const FeatureView sub(query.data() + s * subspace_dim_, subspace_dim_);
     for (std::size_t k = 0; k < codebook_size_; ++k) {
       table[s * codebook_size_ + k] = L2SquaredDistance(sub, Centroid(s, k));
     }
   }
-  return table;
 }
 
 float ProductQuantizer::DistanceWithTable(
@@ -128,32 +132,6 @@ float ProductQuantizer::DistanceWithTable(
 float ProductQuantizer::AsymmetricDistance(FeatureView query,
                                            const PqCode& code) const {
   return L2SquaredDistance(query, Decode(code));
-}
-
-CodeSet::CodeSet(std::size_t code_bytes, std::size_t chunk_codes)
-    : code_bytes_(code_bytes), chunk_codes_(chunk_codes) {
-  chunks_.reserve(1 << 20);
-}
-
-std::size_t CodeSet::Append(const PqCode& code) {
-  assert(code.size() == code_bytes_);
-  const std::size_t index = size_.load(std::memory_order_relaxed);
-  if (index / chunk_codes_ == chunks_.size()) {
-    chunks_.push_back(
-        std::make_unique<std::uint8_t[]>(chunk_codes_ * code_bytes_));
-    ++chunks_count_;
-  }
-  std::memcpy(chunks_[index / chunk_codes_].get() +
-                  (index % chunk_codes_) * code_bytes_,
-              code.data(), code_bytes_);
-  size_.store(index + 1, std::memory_order_release);
-  return index;
-}
-
-const std::uint8_t* CodeSet::At(std::size_t index) const noexcept {
-  assert(index < size());
-  return chunks_[index / chunk_codes_].get() +
-         (index % chunk_codes_) * code_bytes_;
 }
 
 }  // namespace jdvs

@@ -10,7 +10,6 @@
 // scan.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,6 +46,8 @@ class ProductQuantizer {
   // Builds the query's ADC table: num_subspaces x codebook_size partial
   // squared distances, row-major.
   std::vector<float> BuildDistanceTable(FeatureView query) const;
+  // Same, into caller storage of num_subspaces x codebook_size floats.
+  void BuildDistanceTable(FeatureView query, float* table) const;
 
   // ADC distance of an encoded vector given the query's table.
   float DistanceWithTable(const std::vector<float>& table,
@@ -83,35 +84,6 @@ class ProductQuantizer {
   std::size_t subspace_dim_;
   std::size_t codebook_size_;
   std::vector<float> codebooks_;
-};
-
-// Append-only, concurrently readable store of fixed-size PQ codes; the
-// compressed analogue of VectorSet with the same single-writer /
-// many-readers discipline.
-class CodeSet {
- public:
-  explicit CodeSet(std::size_t code_bytes, std::size_t chunk_codes = 8192);
-
-  CodeSet(const CodeSet&) = delete;
-  CodeSet& operator=(const CodeSet&) = delete;
-
-  std::size_t Append(const PqCode& code);
-  const std::uint8_t* At(std::size_t index) const noexcept;
-
-  std::size_t size() const noexcept {
-    return size_.load(std::memory_order_acquire);
-  }
-  std::size_t code_bytes() const noexcept { return code_bytes_; }
-  std::size_t memory_bytes() const noexcept {
-    return chunks_count_ * chunk_codes_ * code_bytes_;
-  }
-
- private:
-  const std::size_t code_bytes_;
-  const std::size_t chunk_codes_;
-  std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
-  std::size_t chunks_count_ = 0;
-  std::atomic<std::size_t> size_{0};
 };
 
 }  // namespace jdvs

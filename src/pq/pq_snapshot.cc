@@ -4,67 +4,34 @@
 #include <fstream>
 #include <vector>
 
+#include "index/snapshot_io.h"
+
 namespace jdvs {
 namespace {
+
+using namespace snapshot_io;
 
 constexpr std::uint64_t kMagic = 0x4A44565350513031ULL;  // "JDVSPQ01"
 constexpr std::uint32_t kVersion = 1;
 
-void WriteRaw(std::ostream& os, const void* data, std::size_t bytes) {
-  os.write(static_cast<const char*>(data),
-           static_cast<std::streamsize>(bytes));
-  if (!os) throw SnapshotError("pq snapshot write failed");
-}
-
-template <typename T>
-void WritePod(std::ostream& os, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WriteRaw(os, &value, sizeof(T));
-}
-
-void WriteString(std::ostream& os, std::string_view s) {
-  WritePod<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  WriteRaw(os, s.data(), s.size());
-}
-
-void ReadRaw(std::istream& is, void* data, std::size_t bytes) {
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
-    throw SnapshotError("pq snapshot truncated");
-  }
-}
-
-template <typename T>
-T ReadPod(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  ReadRaw(is, &value, sizeof(T));
-  return value;
-}
-
-std::string ReadString(std::istream& is) {
-  const auto size = ReadPod<std::uint32_t>(is);
-  if (size > (1u << 24)) throw SnapshotError("pq snapshot string too large");
-  std::string s(size, '\0');
-  ReadRaw(is, s.data(), size);
-  return s;
-}
-
 }  // namespace
 
-void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
+void SaveIvfPqSnapshot(const IvfIndex& index, const std::string& path) {
+  if (index.pq() == nullptr) {
+    throw SnapshotError("PQ snapshot writer given a flat-coded index");
+  }
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw SnapshotError("cannot open for writing: " + path);
 
   WritePod(os, kMagic);
   WritePod(os, kVersion);
 
-  // Index configuration.
-  const IvfPqIndexConfig& config = index.config();
+  // Index configuration; the raw-store flag is implied by re-ranking.
+  const IvfIndexConfig& config = index.config();
   WritePod<std::uint64_t>(os, config.nprobe);
-  WritePod<std::uint64_t>(os, config.initial_list_capacity);
+  WritePod<std::uint64_t>(os, kRetiredListCapacitySlot);
   WritePod<std::uint64_t>(os, config.rerank_candidates);
-  WritePod<std::uint8_t>(os, config.keep_raw_vectors ? 1 : 0);
+  WritePod<std::uint8_t>(os, config.rerank_candidates > 0 ? 1 : 0);
 
   // Coarse quantizer.
   const CoarseQuantizer& quantizer = index.quantizer();
@@ -76,17 +43,29 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
   }
 
   // Product quantizer.
-  const ProductQuantizer& pq = index.pq();
+  const ProductQuantizer& pq = *index.pq();
   WritePod<std::uint64_t>(os, pq.num_subspaces());
   WritePod<std::uint64_t>(os, pq.codebook_size());
   WriteRaw(os, pq.codebooks().data(), pq.codebooks().size() * sizeof(float));
 
+  // Each entry's inverted-list assignment, read back off the lists.
+  std::vector<std::uint32_t> list_of(index.size());
+  for (std::size_t list = 0; list < index.num_lists(); ++list) {
+    index.ForEachScanRun(
+        list, [&](const LocalId* ids, const std::uint8_t* /*codes*/,
+                  const float* /*norms*/, std::size_t count) {
+          for (std::size_t i = 0; i < count; ++i) {
+            list_of[ids[i]] = static_cast<std::uint32_t>(list);
+          }
+        });
+  }
+
   // Entries.
   WritePod<std::uint64_t>(os, index.size());
   const std::size_t code_bytes = pq.code_bytes();
-  index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         const std::uint8_t* code, std::uint32_t list,
-                         FeatureView raw, bool valid) {
+  index.ForEachEntry([&](LocalId local, const AttributeSnapshot& snapshot,
+                         const std::uint8_t* code, FeatureView raw,
+                         bool valid) {
     WriteString(os, snapshot.image_url);
     WritePod<std::uint64_t>(os, snapshot.product_id);
     WritePod<std::uint32_t>(os, snapshot.category);
@@ -94,7 +73,7 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
     WritePod<std::uint64_t>(os, snapshot.attributes.price_cents);
     WritePod<std::uint64_t>(os, snapshot.attributes.praise);
     WriteString(os, snapshot.detail_url);
-    WritePod<std::uint32_t>(os, list);
+    WritePod<std::uint32_t>(os, list_of[local]);
     WritePod<std::uint8_t>(os, valid ? 1 : 0);
     WriteRaw(os, code, code_bytes);
     WritePod<std::uint8_t>(os, raw.empty() ? 0 : 1);
@@ -106,8 +85,7 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
   if (!os) throw SnapshotError("pq snapshot flush failed");
 }
 
-std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
-                                              CopyExecutor copy_executor) {
+std::unique_ptr<IvfIndex> LoadIvfPqSnapshot(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("cannot open for reading: " + path);
 
@@ -120,13 +98,12 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
                         std::to_string(version));
   }
 
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  config.initial_list_capacity =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  ReadPod<std::uint64_t>(is);  // retired list-capacity slot
   config.rerank_candidates =
       static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  config.keep_raw_vectors = ReadPod<std::uint8_t>(is) != 0;
+  ReadPod<std::uint8_t>(is);  // raw-store flag, implied by rerank_candidates
 
   const auto dim = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
   const auto num_clusters = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
@@ -153,9 +130,9 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
   auto pq = std::make_shared<const ProductQuantizer>(
       dim, num_subspaces, codebook_size, std::move(codebooks));
 
-  auto index = std::make_unique<IvfPqIndex>(std::move(quantizer), pq, config,
-                                            std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), pq, config);
   const auto count = ReadPod<std::uint64_t>(is);
+  const std::size_t num_lists = index->num_lists();
   PqCode code(pq->code_bytes());
   std::vector<float> raw(dim);
   std::vector<std::string> invalid_urls;
@@ -169,6 +146,11 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
     attributes.praise = ReadPod<std::uint64_t>(is);
     const std::string detail_url = ReadString(is);
     const auto list = ReadPod<std::uint32_t>(is);
+    if (list >= num_lists) {
+      throw SnapshotError("pq snapshot entry names list " +
+                          std::to_string(list) + " of " +
+                          std::to_string(num_lists));
+    }
     const bool valid = ReadPod<std::uint8_t>(is) != 0;
     ReadRaw(is, code.data(), code.size());
     const bool has_raw = ReadPod<std::uint8_t>(is) != 0;
@@ -182,10 +164,9 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
     if (!valid) invalid_urls.push_back(image_url);
   }
   for (const auto& url : invalid_urls) index->SetImageValidity(url, false);
-  index->FinishPendingExpansions();
   // Same layout invariant as the flat-index snapshot load: ADC gathers
   // assume cache-line-aligned code runs.
-  if (!index->code_storage_aligned()) {
+  if (!index->scan_storage_aligned()) {
     throw SnapshotError("restored code storage is not 64-byte aligned");
   }
   return index;

@@ -1,28 +1,26 @@
-// Snapshot persistence for the compressed IVF-PQ index.
+// Snapshot persistence for a PQ-coded IvfIndex.
 //
 // The compressed analogue of index/snapshot.h: serializes the coarse
 // quantizer, the PQ codebooks, and every entry's attributes, PQ code,
-// inverted-list assignment, validity bit and (when the refinement store is
-// enabled) raw feature. Restored indexes reproduce the original structure
-// and search results exactly.
+// inverted-list assignment, validity bit and (when the index re-ranks) raw
+// feature. Restored indexes reproduce the original structure and search
+// results exactly.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "index/inverted_index.h"
+#include "index/ivf_index.h"
 #include "index/snapshot.h"  // SnapshotError
-#include "pq/ivfpq_index.h"
 
 namespace jdvs {
 
-// Writes `index` to `path`. Throws SnapshotError on I/O failure. Must not
-// race the index's writer.
-void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path);
+// Writes the PQ-coded `index` to `path`. Throws SnapshotError on I/O
+// failure or a flat-coded index. Must not race the index's writer.
+void SaveIvfPqSnapshot(const IvfIndex& index, const std::string& path);
 
-// Reads a snapshot back into a fresh IVF-PQ index. Throws SnapshotError on
+// Reads a snapshot back into a fresh PQ-coded index. Throws SnapshotError on
 // I/O failure, bad magic, version mismatch, or truncation.
-std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(
-    const std::string& path, CopyExecutor copy_executor = InlineCopyExecutor());
+std::unique_ptr<IvfIndex> LoadIvfPqSnapshot(const std::string& path);
 
 }  // namespace jdvs

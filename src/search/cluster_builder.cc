@@ -284,8 +284,7 @@ void VisualSearchCluster::BuildAndInstall(
       FullIndexBuilder builder(catalog_, image_store_, features_, fc);
       FullIndexReport report;
       auto index =
-          builder.Build(quantizer, searcher->partition_filter(), &report,
-                        PoolCopyExecutor(searcher->node().pool()));
+          builder.Build(quantizer, searcher->partition_filter(), &report);
       searcher->InstallIndex(std::move(index), hwm);
       JDVS_LOG(kInfo) << searcher->name() << ": installed full index with "
                       << report.images_indexed << " images ("
@@ -543,6 +542,8 @@ IvfIndexStats VisualSearchCluster::AggregateIndexStats() const {
     total.largest_list = std::max(total.largest_list, s.largest_list);
     total.list_expansions += s.list_expansions;
     total.buffer_bytes += s.buffer_bytes;
+    total.code_memory_bytes += s.code_memory_bytes;
+    total.raw_memory_bytes += s.raw_memory_bytes;
   }
   return total;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "index/snapshot_io.h"
 #include "vecmath/aligned.h"
 
 #if defined(__linux__) || defined(__APPLE__)
@@ -23,6 +24,8 @@
 namespace jdvs {
 namespace {
 
+using namespace snapshot_io;
+
 constexpr std::uint64_t kMagic = 0x4A44565349445831ULL;  // "JDVSIDX1"
 constexpr std::uint32_t kTieredVersion = 4;
 constexpr std::uint32_t kTieredVersionChecksummed = 5;
@@ -31,46 +34,6 @@ static_assert(kTieredSnapshotVersion == kTieredVersionChecksummed);
 
 std::uint64_t AlignUp(std::uint64_t value) {
   return (value + kSegmentAlign - 1) & ~(kSegmentAlign - 1);
-}
-
-void WriteRaw(std::ostream& os, const void* data, std::size_t bytes) {
-  os.write(static_cast<const char*>(data),
-           static_cast<std::streamsize>(bytes));
-  if (!os) throw SnapshotError("snapshot write failed");
-}
-
-template <typename T>
-void WritePod(std::ostream& os, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WriteRaw(os, &value, sizeof(T));
-}
-
-void WriteString(std::ostream& os, std::string_view s) {
-  WritePod<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  WriteRaw(os, s.data(), s.size());
-}
-
-void ReadRaw(std::istream& is, void* data, std::size_t bytes) {
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
-    throw SnapshotError("snapshot truncated");
-  }
-}
-
-template <typename T>
-T ReadPod(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  ReadRaw(is, &value, sizeof(T));
-  return value;
-}
-
-std::string ReadString(std::istream& is) {
-  const auto size = ReadPod<std::uint32_t>(is);
-  if (size > (1u << 24)) throw SnapshotError("snapshot string too large");
-  std::string s(size, '\0');
-  ReadRaw(is, s.data(), size);
-  return s;
 }
 
 struct ListDirEntry {
@@ -140,8 +103,7 @@ ParsedHead ParseHead(std::istream& is, const std::string& path) {
   }
 
   head.config.nprobe = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  head.config.initial_list_capacity =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  ReadPod<std::uint64_t>(is);  // retired list-capacity slot
   head.config.filter_invalid_during_scan = ReadPod<std::uint8_t>(is) != 0;
   head.config.filter_post_threshold = ReadPod<double>(is);
   head.config.filter_widen_threshold = ReadPod<double>(is);
@@ -305,6 +267,9 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
     throw SnapshotError("unsupported tiered snapshot version " +
                         std::to_string(version));
   }
+  if (index.pq() != nullptr) {
+    throw SnapshotError("tiered snapshot writer given a PQ-coded index");
+  }
   const std::size_t num_lists = index.num_lists();
   const std::uint64_t row_bytes = index.padded_dim() * sizeof(float);
 
@@ -340,7 +305,7 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
   std::ostringstream head(std::ios::binary);
   const IvfIndexConfig& config = index.config();
   WritePod<std::uint64_t>(head, config.nprobe);
-  WritePod<std::uint64_t>(head, config.initial_list_capacity);
+  WritePod<std::uint64_t>(head, kRetiredListCapacitySlot);
   WritePod<std::uint8_t>(head, config.filter_invalid_during_scan ? 1 : 0);
   WritePod<double>(head, config.filter_post_threshold);
   WritePod<double>(head, config.filter_widen_threshold);
@@ -358,7 +323,7 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
   WritePod<std::uint64_t>(head, index.size());
   std::map<CategoryId, std::uint64_t> category_populations;
   index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView, bool valid) {
+                         const std::uint8_t*, FeatureView, bool valid) {
     WriteString(head, snapshot.image_url);
     WritePod<std::uint64_t>(head, snapshot.product_id);
     WritePod<std::uint32_t>(head, snapshot.category);
@@ -446,7 +411,6 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
 
 std::unique_ptr<IvfIndex> LoadTieredSnapshot(const std::string& path,
                                              const TieredStoreConfig& tier_config,
-                                             CopyExecutor copy_executor,
                                              std::uint64_t* update_hwm) {
   ParsedHead head = [&] {
     std::ifstream is(path, std::ios::binary);
@@ -477,8 +441,7 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshot(const std::string& path,
 
   auto quantizer = std::make_shared<const CoarseQuantizer>(
       std::move(head.centroids), head.dim);
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config,
-                                          std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config);
   if (index->padded_dim() != head.padded_dim) {
     throw SnapshotError(
         "v4 row stride mismatch: snapshot rows are " +
@@ -504,9 +467,8 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshot(const std::string& path,
         file.data() + head.payload_base + dir.rel_offset,
         static_cast<std::size_t>(dir.entry_count));
   }
-  index->FinishPendingExpansions();
   VerifyFilters(*index, head);
-  if (!index->feature_storage_aligned()) {
+  if (!index->scan_storage_aligned()) {
     throw SnapshotError("mapped feature storage is not 64-byte aligned");
   }
   // The store owns the mapping; the frozen payload pointers installed above
@@ -571,7 +533,6 @@ TieredVerifyResult VerifyTieredSnapshot(const std::string& path) {
 namespace internal {
 
 std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
-                                                 CopyExecutor copy_executor,
                                                  std::uint64_t* update_hwm) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("cannot open for reading: " + path);
@@ -608,8 +569,7 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
 
   auto quantizer = std::make_shared<const CoarseQuantizer>(
       std::move(head.centroids), head.dim);
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config,
-                                          std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config);
   for (std::size_t i = 0; i < count; ++i) {
     const EntryMeta& entry = head.entries[i];
     index->AddImage(entry.image_url, entry.product_id, entry.category,
@@ -619,9 +579,8 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
   for (const EntryMeta& entry : head.entries) {
     if (!entry.valid) index->SetImageValidity(entry.image_url, false);
   }
-  index->FinishPendingExpansions();
   VerifyFilters(*index, head);
-  if (!index->feature_storage_aligned()) {
+  if (!index->scan_storage_aligned()) {
     throw SnapshotError("restored feature storage is not 64-byte aligned");
   }
   return index;

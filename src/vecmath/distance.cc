@@ -8,9 +8,9 @@
 namespace jdvs {
 
 // The pairwise entry points are thin wrappers over the runtime-dispatched
-// kernel table (vecmath/kernels.h): every existing call site — ivf_index,
-// ivfpq_index, imi, lsh, kmeans, quantizer, query_cache, codebook, hashing —
-// picks up the SIMD tier resolved at startup without any semantic change.
+// kernel table (vecmath/kernels.h): every call site — ivf_index, kmeans,
+// quantizer, query_cache, codebook — picks up the SIMD tier resolved at
+// startup without any semantic change.
 
 float L2SquaredDistance(FeatureView a, FeatureView b) noexcept {
   assert(a.size() == b.size());

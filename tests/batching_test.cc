@@ -1,5 +1,5 @@
-// Tests for the batched query path: IvfIndex/IvfPqIndex::SearchBatch must be
-// result-identical to per-query Search (micro-batching is a throughput
+// Tests for the batched query path: IvfIndex::SearchBatch (both list codecs)
+// must be result-identical to per-query Search (micro-batching is a throughput
 // optimization, never a semantics change), ADC distances must match the
 // decode-based asymmetric distance, and the in-searcher micro-batching must
 // deliver correct results under concurrency, honor tight deadlines by
@@ -16,7 +16,7 @@
 #include "index/full_index_builder.h"
 #include "index/ivf_index.h"
 #include "obs/registry.h"
-#include "pq/ivfpq_index.h"
+#include "vecmath/distance.h"
 #include "qos/deadline.h"
 #include "search/searcher.h"
 #include "store/feature_db.h"
@@ -131,10 +131,10 @@ TEST(IvfSearchBatchTest, EmptyBatchAndEmptyIndex) {
 
 TEST(IvfPqSearchBatchTest, MatchesPerQuerySearch) {
   BatchFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 4;
   config.rerank_candidates = 12;  // exercise the rerank path in batch form
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   fx.Fill(index, 120, 2);
 
   const auto queries = fx.MakeQueries(13);
@@ -153,14 +153,22 @@ TEST(IvfPqSearchBatchTest, MatchesPerQuerySearch) {
     const auto solo = index.Search(batch[i].query, batch[i].k, batch[i].nprobe,
                                    batch[i].category_filter);
     ExpectSameHits(results[i], solo);
+    // The rerank ran: every distance is the exact one to the raw feature,
+    // not its ADC approximation.
+    for (const SearchHit& hit : results[i]) {
+      const CategoryId category = static_cast<CategoryId>(hit.product_id % 8);
+      const FeatureVector feature =
+          fx.embedder.Extract({hit.image_url, hit.product_id, category});
+      EXPECT_EQ(hit.distance, L2SquaredDistance(batch[i].query, feature));
+    }
   }
 }
 
 TEST(IvfPqSearchBatchTest, AdcDistancesMatchDecodedDistances) {
   BatchFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 12;  // probe everything: the scan covers the whole corpus
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   fx.Fill(index, 60, 1);
 
   for (ProductId pid = 1; pid <= 10; ++pid) {

@@ -22,7 +22,6 @@
 #include "filter/filter_expression.h"
 #include "index/ivf_index.h"
 #include "pq/codebook.h"
-#include "pq/ivfpq_index.h"
 #include "search/cluster_builder.h"
 #include "search/query_cache.h"
 #include "store/catalog.h"
@@ -454,16 +453,16 @@ TEST(IvfFilterTest, SearchBatchMatchesPerQueryFilteredSearch) {
   EXPECT_NE(stats[2].strategy, FilterScanStats::Strategy::kNone);
 }
 
-// The generic base-class fallback (over-fetch + post-filter) that non-IVF
-// index types inherit, exercised via a qualified call on the IVF instance.
+// The naive over-fetch + post-filter baseline the pushdown is measured
+// against.
 TEST(IvfFilterTest, BaseClassFallbackFiltersCorrectly) {
   FlatFixture fx(800, 8);
   FilterExpression filter;
   filter.WithCategory(1);
   FilterScanStats stats;
-  const auto hits = fx.index->ImageIndex::Search(
-      fx.Query(5), 10, fx.quantizer->num_clusters(), kNoCategoryFilter,
-      filter, &stats);
+  const auto hits = PostFilteredSearch(
+      *fx.index, fx.Query(5), 10, fx.quantizer->num_clusters(),
+      kNoCategoryFilter, filter, &stats);
   EXPECT_EQ(stats.strategy, FilterScanStats::Strategy::kFallback);
   ASSERT_EQ(hits.size(), 10u);
   const auto oracle = fx.BruteForceTopK(fx.Query(5), 10, filter);
@@ -546,9 +545,9 @@ struct PqFilterFixture {
         ProductQuantizer::Train(training, pc));
   }
 
-  std::unique_ptr<IvfPqIndex> Build(std::size_t images,
-                                    IvfPqIndexConfig config = {}) {
-    auto index = std::make_unique<IvfPqIndex>(quantizer, pq, config);
+  std::unique_ptr<IvfIndex> Build(std::size_t images,
+                                  IvfIndexConfig config = {}) {
+    auto index = std::make_unique<IvfIndex>(quantizer, pq, config);
     Rng rng(55);
     features.clear();
     for (std::size_t i = 0; i < images; ++i) {
@@ -572,7 +571,7 @@ struct PqFilterFixture {
 
 TEST(IvfPqFilterTest, HitsSatisfyPredicatesAcrossSelectivities) {
   PqFilterFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
   const auto index = fx.Build(2000, config);
   const std::uint64_t thresholds[] = {1000, 1900, 1998};  // 50% / 5% / 0.1%
@@ -603,10 +602,9 @@ TEST(IvfPqFilterTest, HitsSatisfyPredicatesAcrossSelectivities) {
 
 TEST(IvfPqFilterTest, RerankPreservesPredicates) {
   PqFilterFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
   config.rerank_candidates = 50;  // IVFADC+R: exact re-rank of the shortlist
-  config.keep_raw_vectors = true;
   const auto index = fx.Build(1000, config);
   FilterExpression filter;
   filter.WithCategory(4).WithMin(FilterField::kSales, 200);

@@ -143,15 +143,13 @@ TEST(IvfIndexTest, HasImageHasProduct) {
 
 TEST(IvfIndexTest, StatsReflectState) {
   auto quantizer = GridQuantizer();
-  IvfIndexConfig config;
-  config.initial_list_capacity = 2;
-  IvfIndex index(quantizer, config);
+  IvfIndex index(quantizer);
+  // Two lists of 25: each outgrows its first 16-entry scan-storage chunk.
   for (int i = 0; i < 50; ++i) {
     index.AddImage("u" + std::to_string(i), i, 0, Attrs(), "",
-                   NearCentroid(*quantizer, i % 4, 0.2f, i));
+                   NearCentroid(*quantizer, i % 2, 0.2f, i));
   }
   index.SetProductValidity(0, false);
-  index.FinishPendingExpansions();
   const IvfIndexStats stats = index.Stats();
   EXPECT_EQ(stats.total_images, 50u);
   EXPECT_EQ(stats.valid_images, 49u);
@@ -250,7 +248,6 @@ TEST(IvfIndexTest, CategoryFilterScopesResults) {
 TEST(IvfIndexTest, ConcurrentSearchDuringInserts) {
   auto quantizer = GridQuantizer();
   IvfIndexConfig config;
-  config.initial_list_capacity = 8;
   config.nprobe = 4;
   IvfIndex index(quantizer, config);
   std::atomic<bool> stop{false};

@@ -1,15 +1,16 @@
 // Tests for product quantization: codebook training, encode/decode, ADC
-// identity, the code store, and the IVF-PQ index.
+// identity, and the PQ-coded IVF index.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "embedding/extractor.h"
+#include "index/ivf_index.h"
 #include "index/realtime_indexer.h"
 #include "pq/codebook.h"
-#include "pq/ivfpq_index.h"
 #include "store/catalog.h"
 #include "store/feature_db.h"
 #include "vecmath/distance.h"
@@ -121,23 +122,6 @@ TEST(ProductQuantizerTest, SnapshotRoundTripThroughRawCodebooks) {
   EXPECT_EQ(original.Encode(training[0]), restored.Encode(training[0]));
 }
 
-TEST(CodeSetTest, AppendAndReadBack) {
-  CodeSet codes(4, /*chunk_codes=*/8);
-  for (std::uint8_t i = 0; i < 100; ++i) {
-    const PqCode code = {i, static_cast<std::uint8_t>(i + 1),
-                         static_cast<std::uint8_t>(i + 2),
-                         static_cast<std::uint8_t>(i + 3)};
-    EXPECT_EQ(codes.Append(code), static_cast<std::size_t>(i));
-  }
-  EXPECT_EQ(codes.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) {
-    const std::uint8_t* code = codes.At(i);
-    EXPECT_EQ(code[0], static_cast<std::uint8_t>(i));
-    EXPECT_EQ(code[3], static_cast<std::uint8_t>(i + 3));
-  }
-  EXPECT_GT(codes.memory_bytes(), 0u);
-}
-
 // ---- IVF-PQ index ----
 
 struct PqFixture {
@@ -164,7 +148,7 @@ struct PqFixture {
     return MakeImageUrl(pid, k);
   }
 
-  void Fill(IvfPqIndex& index, std::size_t products, std::size_t images) {
+  void Fill(IvfIndex& index, std::size_t products, std::size_t images) {
     const ProductAttributes attrs{.sales = 5, .price_cents = 100, .praise = 1};
     for (ProductId pid = 1; pid <= products; ++pid) {
       for (std::uint32_t k = 0; k < images; ++k) {
@@ -183,9 +167,9 @@ struct PqFixture {
 
 TEST(IvfPqIndexTest, FindsSubjectProduct) {
   PqFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   fx.Fill(index, 100, 3);
   EXPECT_EQ(index.size(), 300u);
 
@@ -202,9 +186,9 @@ TEST(IvfPqIndexTest, FindsSubjectProduct) {
 
 TEST(IvfPqIndexTest, ValidityFiltering) {
   PqFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   fx.Fill(index, 20, 2);
   const auto query = fx.embedder.ExtractQuery(7, 7 % 8, 3);
   ASSERT_FALSE(index.Search(query, 3).empty());
@@ -216,14 +200,13 @@ TEST(IvfPqIndexTest, ValidityFiltering) {
 
 TEST(IvfPqIndexTest, RerankingImprovesOrdering) {
   PqFixture fx;
-  IvfPqIndexConfig plain;
+  IvfIndexConfig plain;
   plain.nprobe = 16;
-  IvfPqIndexConfig reranked = plain;
-  reranked.keep_raw_vectors = true;
+  IvfIndexConfig reranked = plain;
   reranked.rerank_candidates = 50;
 
-  IvfPqIndex index_plain(fx.quantizer, fx.pq, plain);
-  IvfPqIndex index_rerank(fx.quantizer, fx.pq, reranked);
+  IvfIndex index_plain(fx.quantizer, fx.pq, plain);
+  IvfIndex index_rerank(fx.quantizer, fx.pq, reranked);
   fx.Fill(index_plain, 150, 3);
   fx.Fill(index_rerank, 150, 3);
 
@@ -245,9 +228,9 @@ TEST(IvfPqIndexTest, RerankingImprovesOrdering) {
 
 TEST(IvfPqIndexTest, StatsReportCompression) {
   PqFixture fx;
-  IvfPqIndex index(fx.quantizer, fx.pq);
+  IvfIndex index(fx.quantizer, fx.pq);
   fx.Fill(index, 50, 2);
-  const IvfPqStats stats = index.Stats();
+  const IvfIndexStats stats = index.Stats();
   EXPECT_EQ(stats.total_images, 100u);
   EXPECT_EQ(stats.valid_images, 100u);
   EXPECT_EQ(stats.code_bytes_per_vector, 8u);
@@ -258,9 +241,17 @@ TEST(IvfPqIndexTest, StatsReportCompression) {
             fx.quantizer->dim() * sizeof(float) + 1);
 }
 
+TEST(IvfPqIndexTest, ExhaustiveSearchNeedsFlatCodec) {
+  PqFixture fx;
+  IvfIndex index(fx.quantizer, fx.pq);
+  fx.Fill(index, 5, 1);
+  const auto query = fx.embedder.ExtractQuery(1, 1, 1);
+  EXPECT_THROW(index.SearchExhaustive(query, 3), std::logic_error);
+}
+
 TEST(IvfPqIndexTest, HasImage) {
   PqFixture fx;
-  IvfPqIndex index(fx.quantizer, fx.pq);
+  IvfIndex index(fx.quantizer, fx.pq);
   EXPECT_FALSE(index.HasImage("jd://img/1/0"));
   fx.Fill(index, 1, 1);
   EXPECT_TRUE(index.HasImage("jd://img/1/0"));
@@ -270,9 +261,9 @@ TEST(IvfPqIndexTest, HasImage) {
 
 TEST(IvfPqIndexTest, UpdateProductAttributes) {
   PqFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   fx.Fill(index, 5, 2);
   EXPECT_EQ(index.UpdateProductAttributes(
                 3, {.sales = 777, .price_cents = 9, .praise = 1}, "new-url"),
@@ -290,9 +281,9 @@ TEST(IvfPqIndexTest, UpdateProductAttributes) {
 
 TEST(IvfPqIndexTest, SetImageValidityTargetsOneImage) {
   PqFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   fx.Fill(index, 3, 2);
   EXPECT_TRUE(index.SetImageValidity("jd://img/2/0", false));
   EXPECT_FALSE(index.SetImageValidity("unknown", false));
@@ -302,13 +293,13 @@ TEST(IvfPqIndexTest, SetImageValidityTargetsOneImage) {
   }
 }
 
-// The same RealTimeIndexer drives the compressed index through the
-// ImageIndex interface (Figure 6 semantics on IVF-PQ).
+// The same RealTimeIndexer drives the PQ-coded index (Figure 6 semantics on
+// IVF-PQ).
 TEST(IvfPqIndexTest, RealTimeIndexerDrivesPqIndex) {
   PqFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
-  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  IvfIndex index(fx.quantizer, fx.pq, config);
   FeatureDb features(fx.embedder, ExtractionCostModel{.mean_micros = 0});
   RealTimeIndexer indexer(index, features);
 

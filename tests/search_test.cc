@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <vector>
 
+#include "cluster/kmeans.h"
 #include "common/hash.h"
 #include "index/full_index_builder.h"
+#include "pq/codebook.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "search/blender.h"
@@ -666,6 +670,151 @@ TEST(ClusterObservabilityTest, RegistryMatchesComponentCounters) {
   EXPECT_NE(text.find("jdvs_stage_micros_bucket{"), std::string::npos);
   cluster->Stop();
 }
+
+// A Searcher serves a PQ-coded partition as it is: the list codec lives in
+// the installed IvfIndex, so no searcher setting selects it. Parameterized
+// on max_batch_queries: 1 answers every query solo, 4 (the default) groups
+// concurrent queries through SearchBatch.
+class PqSearcherTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static constexpr ProductId kProducts = 90;
+  static constexpr CategoryId kCategories = 6;
+
+  PqSearcherTest()
+      : embedder({.dim = 32, .num_categories = kCategories, .seed = 9}),
+        features(embedder, ExtractionCostModel{.mean_micros = 0}) {}
+
+  FeatureVector Feature(ProductId pid, std::uint32_t k) const {
+    return embedder.Extract(
+        {MakeImageUrl(pid, k), pid, static_cast<CategoryId>(pid % kCategories)});
+  }
+
+  std::unique_ptr<IvfIndex> BuildPqIndex() const {
+    std::vector<FeatureVector> training;
+    for (ProductId pid = 1; pid <= kProducts; ++pid) {
+      for (std::uint32_t k = 0; k < 2; ++k) training.push_back(Feature(pid, k));
+    }
+    KMeansConfig kc;
+    kc.num_clusters = 8;
+    auto quantizer = std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc));
+    ProductQuantizerConfig pc;
+    pc.num_subspaces = 8;
+    pc.codebook_size = 32;
+    auto pq = std::make_shared<ProductQuantizer>(
+        ProductQuantizer::Train(training, pc));
+    IvfIndexConfig config;
+    config.nprobe = 3;
+    config.rerank_candidates = 20;
+    auto index = std::make_unique<IvfIndex>(quantizer, pq, config);
+    for (ProductId pid = 1; pid <= kProducts; ++pid) {
+      for (std::uint32_t k = 0; k < 2; ++k) {
+        index->AddImage(MakeImageUrl(pid, k), pid,
+                        static_cast<CategoryId>(pid % kCategories),
+                        {.sales = pid * 10, .price_cents = 100, .praise = 1},
+                        "", Feature(pid, k));
+      }
+    }
+    return index;
+  }
+
+  FeatureVector Query(ProductId pid, std::uint64_t seed) const {
+    return embedder.ExtractQuery(
+        pid, static_cast<CategoryId>(pid % kCategories), seed);
+  }
+
+  SyntheticEmbedder embedder;
+  FeatureDb features;
+};
+
+void ExpectSameHitList(const std::vector<SearchHit>& got,
+                       const std::vector<SearchHit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].image_id, want[i].image_id);
+    EXPECT_EQ(got[i].distance, want[i].distance);
+    EXPECT_EQ(got[i].image_url, want[i].image_url);
+    EXPECT_EQ(got[i].attributes, want[i].attributes);
+  }
+}
+
+TEST_P(PqSearcherTest, ServesPqCodedPartition) {
+  Searcher::Config config;
+  config.threads = 4;
+  config.max_batch_queries = GetParam();
+  config.batch_window_micros = 500;
+  Searcher searcher("s-pq", config, features, AcceptAllPartitionFilter());
+  std::unique_ptr<IvfIndex> owned = BuildPqIndex();
+  const IvfIndex& index = *owned;
+  ASSERT_NE(index.pq(), nullptr);
+  searcher.InstallIndex(std::move(owned));
+
+  // Every query dispatched before any is joined, so scans overlap and the
+  // batched path can engage; each answer equals the index's own.
+  std::vector<FeatureVector> queries;
+  for (ProductId pid = 1; pid <= 24; ++pid) queries.push_back(Query(pid, pid));
+  std::vector<std::future<std::vector<SearchHit>>> futures;
+  for (const FeatureVector& q : queries) {
+    futures.push_back(searcher.SearchAsync(q, /*k=*/5));
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ExpectSameHitList(futures[i].get(), index.Search(queries[i], 5));
+  }
+
+  // Real-time updates through the searcher show in the next answer.
+  constexpr ProductId kFresh = 500;
+  const CategoryId fresh_category = kFresh % kCategories;
+  ProductUpdateMessage add;
+  add.type = UpdateType::kAddProduct;
+  add.product_id = kFresh;
+  add.category_id = fresh_category;
+  add.attributes = {.sales = 7, .price_cents = 300, .praise = 2};
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    add.image_urls.push_back(MakeImageUrl(kFresh, k));
+  }
+  ASSERT_TRUE(searcher.ApplyUpdate(add));
+  const FeatureVector fresh_query =
+      embedder.ExtractQuery(kFresh, fresh_category, /*seed=*/3);
+  auto hits = searcher.SearchAsync(fresh_query, 3).get();
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(hits[0].product_id, kFresh);
+  ExpectSameHitList(hits, index.Search(fresh_query, 3));
+
+  ProductUpdateMessage attrs;
+  attrs.type = UpdateType::kAttributeUpdate;
+  attrs.product_id = kFresh;
+  attrs.attributes = {.sales = 4242, .price_cents = 300, .praise = 2};
+  ASSERT_TRUE(searcher.ApplyUpdate(attrs));
+  hits = searcher.SearchAsync(fresh_query, 3).get();
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(hits[0].product_id, kFresh);
+  EXPECT_EQ(hits[0].attributes.sales, 4242u);
+
+  ProductUpdateMessage del;
+  del.type = UpdateType::kRemoveProduct;
+  del.product_id = kFresh;
+  ASSERT_TRUE(searcher.ApplyUpdate(del));
+  for (const SearchHit& hit : searcher.SearchAsync(fresh_query, 10).get()) {
+    EXPECT_NE(hit.product_id, kFresh);
+  }
+
+  // A filtered query's hits satisfy its filter.
+  FilterExpression filter;
+  filter.WithMin(FilterField::kSales, 450);
+  for (ProductId pid = 1; pid <= 10; ++pid) {
+    const auto filtered =
+        searcher
+            .SearchAsync(Query(pid, 100 + pid), /*k=*/5, /*nprobe=*/0,
+                         kNoCategoryFilter, filter)
+            .get();
+    EXPECT_FALSE(filtered.empty());
+    for (const SearchHit& hit : filtered) {
+      EXPECT_GE(hit.attributes.sales, 450u) << hit.image_url;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchLimits, PqSearcherTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 }  // namespace
 }  // namespace jdvs

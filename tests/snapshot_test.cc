@@ -10,6 +10,7 @@
 #include "index/snapshot.h"
 #include "pq/pq_snapshot.h"
 #include "search/searcher.h"
+#include "tier/tiered_snapshot.h"
 #include "workload/catalog_gen.h"
 
 namespace jdvs {
@@ -85,8 +86,6 @@ TEST_F(SnapshotTest, RoundTripPreservesConfig) {
   SaveIndexSnapshot(*built.index, path);
   const auto loaded = LoadIndexSnapshot(path);
   EXPECT_EQ(loaded->config().nprobe, built.index->config().nprobe);
-  EXPECT_EQ(loaded->config().initial_list_capacity,
-            built.index->config().initial_list_capacity);
   EXPECT_EQ(loaded->dim(), built.index->dim());
 }
 
@@ -165,7 +164,7 @@ TEST_F(SnapshotTest, HighWaterMarkRoundTrips) {
   const std::string path = PathFor("hwm.snap");
   SaveIndexSnapshot(*built.index, path, /*update_hwm=*/42);
   std::uint64_t hwm = 0;
-  const auto loaded = LoadIndexSnapshot(path, InlineCopyExecutor(), &hwm);
+  const auto loaded = LoadIndexSnapshot(path, &hwm);
   EXPECT_EQ(hwm, 42u);
   EXPECT_EQ(loaded->size(), built.index->size());
   // Omitting the out-param still loads.
@@ -202,7 +201,7 @@ TEST_F(SnapshotTest, SearcherSnapshotDuringConcurrentUpdates) {
   writer.join();
 
   std::uint64_t hwm = 0;
-  const auto loaded = LoadIndexSnapshot(path, InlineCopyExecutor(), &hwm);
+  const auto loaded = LoadIndexSnapshot(path, &hwm);
   EXPECT_LE(hwm, kMessages);
   for (std::uint64_t seq = 1; seq <= kMessages; ++seq) {
     EXPECT_EQ(loaded->HasProduct(1000 + seq), seq <= hwm) << "seq " << seq;
@@ -245,11 +244,10 @@ struct PqBuilt {
     pc.codebook_size = 32;
     auto pq = std::make_shared<ProductQuantizer>(
         ProductQuantizer::Train(training, pc));
-    IvfPqIndexConfig config;
+    IvfIndexConfig config;
     config.nprobe = 8;
-    config.keep_raw_vectors = keep_raw;
     config.rerank_candidates = keep_raw ? 20 : 0;
-    index = std::make_unique<IvfPqIndex>(quantizer, pq, config);
+    index = std::make_unique<IvfIndex>(quantizer, pq, config);
     const ProductAttributes attrs{.sales = 4, .price_cents = 99, .praise = 2};
     for (ProductId pid = 1; pid <= 60; ++pid) {
       for (std::uint32_t k = 0; k < 2; ++k) {
@@ -262,7 +260,7 @@ struct PqBuilt {
     index->SetProductValidity(9, false);
   }
   SyntheticEmbedder embedder{{.dim = 24, .num_categories = 8, .seed = 6}};
-  std::unique_ptr<IvfPqIndex> index;
+  std::unique_ptr<IvfIndex> index;
 };
 
 TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
@@ -317,6 +315,50 @@ TEST_F(SnapshotTest, PqTruncatedThrows) {
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
   EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+}
+
+// An entry naming an inverted list the quantizer does not have is refused,
+// not appended out of bounds.
+TEST_F(SnapshotTest, PqOutOfRangeListThrows) {
+  PqBuilt built;
+  const std::string path = PathFor("pq.snap");
+  SaveIvfPqSnapshot(*built.index, path);
+  // Offset of the first entry's list field: header, config block, coarse
+  // centroids, PQ shape + codebooks, entry count, then the first entry's
+  // url, product, category, three attributes and (empty) detail url.
+  const std::size_t dim = built.index->dim();
+  const ProductQuantizer& pq = *built.index->pq();
+  const std::string first_url = MakeImageUrl(1, 0);
+  const std::size_t offset =
+      8 + 4 + 8 + 8 + 8 + 1 + 8 + 8 +
+      built.index->quantizer().num_clusters() * dim * sizeof(float) + 8 + 8 +
+      pq.codebooks().size() * sizeof(float) + 8 + 4 + first_url.size() + 8 +
+      4 + 3 * 8 + 4;
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(static_cast<std::streamoff>(offset - 4 - 3 * 8 - 4 - 8 -
+                                        first_url.size()));
+    std::string url(first_url.size(), '\0');
+    f.read(url.data(), static_cast<std::streamsize>(url.size()));
+    ASSERT_EQ(url, first_url);  // the offset arithmetic lands on entry 0
+    const std::uint32_t bad_list = 1000;
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&bad_list), sizeof(bad_list));
+  }
+  EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+}
+
+// Each writer takes one list codec and refuses the other, rather than
+// writing a file its loader would misread.
+TEST_F(SnapshotTest, WritersRefuseTheOtherCodec) {
+  PqBuilt pq_built;
+  EXPECT_THROW(SaveIndexSnapshot(*pq_built.index, PathFor("flat.snap")),
+               SnapshotError);
+  EXPECT_THROW(SaveTieredSnapshot(*pq_built.index, PathFor("tiered.snap")),
+               SnapshotError);
+  Built flat_built;
+  EXPECT_THROW(SaveIvfPqSnapshot(*flat_built.index, PathFor("pq.snap")),
+               SnapshotError);
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ int InspectTiered(const std::string& path, std::uint32_t version) {
   TieredStoreConfig tier_config;
   tier_config.drop_pages_on_load = false;  // inspection, not serving
   const auto index =
-      LoadTieredSnapshot(path, tier_config, InlineCopyExecutor(), &update_hwm);
+      LoadTieredSnapshot(path, tier_config, &update_hwm);
   const auto& store = *index->tiered_store();
   const IvfIndexStats stats = index->Stats();
   const IndexDigest digest = ComputeIndexDigest(*index);
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   try {
     if (flags.GetBool("pq", false)) {
       const auto index = LoadIvfPqSnapshot(path);
-      const IvfPqStats stats = index->Stats();
+      const IvfIndexStats stats = index->Stats();
       std::printf("%s: IVF-PQ snapshot\n", path.c_str());
       std::printf("  dim:            %zu\n", index->dim());
       std::printf("  entries:        %zu (%zu valid)\n", stats.total_images,
@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
                   stats.code_bytes_per_vector,
                   static_cast<double>(stats.code_memory_bytes) / 1e6,
                   static_cast<double>(stats.raw_memory_bytes) / 1e6);
-      std::printf("  PQ: M=%zu, Ks=%zu\n", index->pq().num_subspaces(),
-                  index->pq().codebook_size());
+      std::printf("  PQ: M=%zu, Ks=%zu\n", index->pq()->num_subspaces(),
+                  index->pq()->codebook_size());
     } else if (std::uint32_t version = 0;
                PeekSnapshotVersion(path, &version) &&
                (version == 4 || version == 5)) {
@@ -156,8 +156,7 @@ int main(int argc, char** argv) {
       return 2;
     } else {
       std::uint64_t update_hwm = 0;
-      const auto index =
-          LoadIndexSnapshot(path, InlineCopyExecutor(), &update_hwm);
+      const auto index = LoadIndexSnapshot(path, &update_hwm);
       const IvfIndexStats stats = index->Stats();
       const IndexDigest digest = ComputeIndexDigest(*index);
       std::printf("%s: flat IVF snapshot\n", path.c_str());
