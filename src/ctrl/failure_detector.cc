@@ -101,9 +101,10 @@ void FailureDetector::ProbeRound() {
   // Probes carry the control plane's identity on fault-injection links, so
   // chaos scenarios can fault (or exempt) the heartbeat path explicitly.
   RpcSourceScope source("ctrl");
-  const Micros probe_timeout = config_.probe_timeout_micros > 0
-                                   ? config_.probe_timeout_micros
-                                   : 2 * config_.heartbeat_period_micros;
+  CallOptions probe_call;
+  probe_call.timeout_micros = config_.probe_timeout_micros > 0
+                                  ? config_.probe_timeout_micros
+                                  : 2 * config_.heartbeat_period_micros;
   EjectLatencyOutliers();
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     const Target& target = targets_[i];
@@ -163,8 +164,8 @@ void FailureDetector::ProbeRound() {
       // The timeout guarantees in_flight always clears: a probe whose
       // message the fabric drops comes back as RpcTimeoutError (a miss)
       // instead of wedging this replica's probing forever.
-      target.node->InvokeAsyncWithTimeout(
-          probe_timeout, [] {},
+      target.node->Call(
+          probe_call, [](obs::Span&) {},
           [p](AsyncResult<void> result) {
             if (result.ok()) {
               p->acked.store(true, std::memory_order_release);

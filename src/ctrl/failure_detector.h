@@ -1,9 +1,10 @@
 // Heartbeat failure detector.
 //
 // Probes every watched replica over the simulated net fabric: each round
-// dispatches a no-op Invoke onto the replica's node, so a probe experiences
-// exactly what a query would — network hops, queueing behind real work on a
-// saturated pool, and NodeFailedError while the node's fail switch is set.
+// dispatches a no-op Node::Call onto the replica's node, so a probe
+// experiences exactly what a query would — network hops, queueing behind
+// real work on a saturated pool, and NodeFailedError while the node's fail
+// switch is set.
 // The detector never reads Node::failed() directly; it only believes what
 // the fabric tells it.
 //

@@ -41,7 +41,6 @@
 #include "kvstore/kvstore.h"
 #include "metrics/cdf.h"
 #include "metrics/latency_recorder.h"
-#include "metrics/qps_counter.h"
 #include "metrics/time_series.h"
 #include "mq/message.h"
 #include "mq/message_log.h"

@@ -1,7 +1,6 @@
 #include "metrics/latency_recorder.h"
 
 #include <cstdio>
-#include <ostream>
 
 namespace jdvs {
 
@@ -33,11 +32,6 @@ std::string SummarizeLatency(const Histogram& histogram,
                 FormatMicros(histogram.P99()).c_str(),
                 FormatMicros(histogram.Max()).c_str());
   return buffer;
-}
-
-void PrintLatency(std::ostream& os, const Histogram& histogram,
-                  const std::string& label) {
-  os << SummarizeLatency(histogram, label) << "\n";
 }
 
 }  // namespace jdvs

@@ -1,7 +1,6 @@
 // Latency reporting helpers over common/Histogram.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "common/histogram.h"
@@ -14,9 +13,5 @@ std::string FormatMicros(std::int64_t micros);
 // One-line summary: count, mean, p50/p90/p99, max.
 std::string SummarizeLatency(const Histogram& histogram,
                              const std::string& label);
-
-// Prints the summary to `os` with a trailing newline.
-void PrintLatency(std::ostream& os, const Histogram& histogram,
-                  const std::string& label);
 
 }  // namespace jdvs

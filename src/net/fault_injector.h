@@ -6,10 +6,10 @@
 // replies get duplicated, links partition in one direction, and a "limping"
 // node answers every heartbeat while serving queries 50x slow. A
 // FaultInjector attached to a Node (Node::set_fault_injector) intercepts
-// every Invoke/InvokeAsync and decides, per message, whether to drop the
-// request, drop or duplicate the reply, or stretch the hop latency — per
-// directed link (from caller to callee), controllable at runtime from
-// benches and tests.
+// every Node::Call and decides, per message, whether to drop the request,
+// drop or duplicate the reply, or stretch the hop latency — per directed
+// link (from caller to callee), controllable at runtime from benches and
+// tests.
 //
 // Decisions are deterministic in (seed, link rule, message ordinal): the
 // n-th message on a link draws its fate by hashing, not from a shared RNG,

@@ -17,10 +17,6 @@ std::int64_t LatencyModel::SampleMicros(Rng& rng) const {
   return total;
 }
 
-void ChargeHop(const LatencyModel& model, std::uint64_t stream_seed) {
-  ChargeHop(model, stream_seed, 1.0, 0);
-}
-
 void ChargeHop(const LatencyModel& model, std::uint64_t stream_seed,
                double multiplier, std::int64_t added_micros) {
   if (model.IsZero() && added_micros <= 0) return;

@@ -29,13 +29,10 @@ struct LatencyModel {
 };
 
 // Sleeps for one sampled hop delay using a thread-local RNG derived from
-// `stream_seed` (per-thread streams keep sampling lock-free).
-void ChargeHop(const LatencyModel& model, std::uint64_t stream_seed);
-
-// ChargeHop with fault-injection scaling: the sampled delay is multiplied
-// by `multiplier` and extended by `added_micros` (a limping link per
-// net/fault_injector.h). A nonzero `added_micros` charges even when the
-// model itself is zero.
+// `stream_seed` (per-thread streams keep sampling lock-free). Fault
+// injection scales the sampled delay by `multiplier` and extends it by
+// `added_micros` (a limping link per net/fault_injector.h); a nonzero
+// `added_micros` charges even when the model itself is zero.
 void ChargeHop(const LatencyModel& model, std::uint64_t stream_seed,
                double multiplier, std::int64_t added_micros);
 

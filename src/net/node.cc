@@ -1,5 +1,5 @@
 #include "net/node.h"
 
-// Node is header-only (template Invoke); this translation unit anchors the
+// Node is header-only (template Call); this translation unit anchors the
 // header so the build lists every module explicitly.
 namespace jdvs {}

@@ -2,20 +2,19 @@
 //
 // Each blender, broker and searcher instance of Figure 10 runs as a Node: a
 // named entity with its own bounded worker pool (standing in for a server's
-// cores) and a fail switch for availability experiments. Invoke() is the RPC
-// entry point: the callable runs on the *callee's* pool after a simulated
-// network hop, and the result travels back through a future after a second
-// hop — so fan-out calls from one node to many execute genuinely in
-// parallel, and a saturated node queues requests exactly like a busy server.
-// InvokeAsync() is the continuation-passing variant the serving pipeline
-// uses: the result is delivered to a completion callback on the callee's
-// pool thread, so no caller thread ever parks waiting for a response.
+// cores) and a fail switch for availability experiments. Call() is the one
+// RPC path: the callable runs on the *callee's* pool after a simulated
+// network hop, and its outcome reaches a completion callback after a second
+// hop, on the callee's pool thread — so fan-out calls from one node to many
+// execute genuinely in parallel, a saturated node queues requests exactly
+// like a busy server, and no caller thread ever parks waiting for a
+// response. Invoke() is the blocking future facade over Call().
 //
 // Fault model: an attached FaultInjector (set_fault_injector) gives every
 // message a per-link fate — dropped request, dropped or duplicated reply,
 // stretched latency, directed partition. A dropped message is *silent*: the
 // continuation never fires unless the caller armed a per-RPC timeout
-// (InvokeAsyncWithTimeout), in which case the shared TimeoutScheduler
+// (CallOptions::timeout_micros), in which case the shared TimeoutScheduler
 // delivers a typed RpcTimeoutError instead, and a late or duplicated reply
 // is swallowed by the per-call first-completion-wins guard.
 #pragma once
@@ -41,13 +40,34 @@
 
 namespace jdvs {
 
-// Thrown by Invoke()'d work when the callee is marked failed; surfaces to
-// the caller through the future (brokers catch it and fail over to a
-// replica, Section 2.4 "multiple copies for availability").
+// Delivered by a Call() while the callee is marked failed (brokers catch it
+// and fail over to a replica, Section 2.4 "multiple copies for
+// availability").
 class NodeFailedError : public std::runtime_error {
  public:
   explicit NodeFailedError(const std::string& node)
       : std::runtime_error("node failed: " + node) {}
+};
+
+// How one Node::Call travels. The defaults give a plain RPC: no span, no
+// deadline, no timeout.
+struct CallOptions {
+  // Callee-side span: a child of `parent`, recorded into `sink`, covering
+  // `fn` only (the gap to the parent span is network + queue time). A no-op
+  // when `parent` is unsampled or `sink` is null, so untraced requests pay
+  // nothing.
+  obs::TraceSink* sink = nullptr;
+  obs::TraceContext parent;
+  std::string span_name;
+  // Re-checked on the callee's pool thread after the request hop — i.e.
+  // after the time the call spent in the network and the pool queue — so a
+  // saturated node sheds queued work it could no longer answer in time. An
+  // unlimited deadline costs one integer compare.
+  qos::Deadline deadline;
+  // > 0 arms a per-RPC timeout: when no reply reached `on_done` by then,
+  // the shared TimeoutScheduler delivers RpcTimeoutError on its timer
+  // thread, so a dropped message cannot hang the caller.
+  Micros timeout_micros = 0;
 };
 
 class Node {
@@ -59,129 +79,77 @@ class Node {
         seed_(HashCombine(Mix64(seed), Fnv1a64(name_))),
         pool_(threads, name_) {}
 
-  // Schedules `fn` on this node's pool, charging one inbound network hop
-  // before it runs and one outbound hop before the future is fulfilled.
-  // Throws NodeFailedError through the future while failed() is set. With a
-  // fault injector attached, a dropped message breaks the promise (the
-  // future throws std::future_error) rather than hanging the caller.
-  template <typename F>
-  auto Invoke(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto promise = std::make_shared<std::promise<R>>();
-    std::future<R> future = promise->get_future();
-    InvokeAsync(std::forward<F>(fn), [promise](AsyncResult<R> result) {
-      if (!result.ok()) {
-        promise->set_exception(result.error);
-      } else if constexpr (std::is_void_v<R>) {
-        promise->set_value();
-      } else {
-        promise->set_value(std::move(*result.value));
-      }
-    });
-    return future;
-  }
-
-  // Continuation-passing Invoke: schedules `fn` on this node's pool exactly
-  // like Invoke(), but delivers the outcome (value or std::exception_ptr,
-  // including the NodeFailedError thrown while failed() is set) to `on_done`
-  // as an AsyncResult<R> instead of a future. `on_done` runs on the callee's
-  // pool thread right after `fn`; no caller thread blocks. If the pool is
-  // already shut down the task runs inline so the callback always fires.
+  // Schedules `fn(span)` on this node's pool and delivers its outcome —
+  // value or std::exception_ptr — to `on_done` as an AsyncResult<R> on the
+  // callee's pool thread. `span` is the callee-side span of `options` (a
+  // no-op when none was requested); an exception from `fn` marks it failed
+  // and reaches `on_done`. An expired deadline delivers
+  // DeadlineExceededError without running `fn`, with the span tagged
+  // deadline_exceeded so traces show where budgets die; a failed node
+  // delivers NodeFailedError. Exactly one delivery ever reaches `on_done` —
+  // reply, duplicated reply or timeout, whichever wins the per-call
+  // OnceCallback guard; the rest are swallowed (and a swallowed injected
+  // duplicate is counted by the injector). If the pool is already shut
+  // down, the task runs inline so the callback still fires.
   template <typename F, typename Done>
-  void InvokeAsync(F&& fn, Done&& on_done) {
-    InvokeAsyncWithTimeout(0, std::forward<F>(fn), std::forward<Done>(on_done));
-  }
-
-  // InvokeAsync with a per-RPC timeout: when `timeout_micros` > 0 and no
-  // reply reached `on_done` by then, the shared TimeoutScheduler delivers
-  // AsyncResult<R>::Fail(RpcTimeoutError) on its timer thread. Exactly one
-  // delivery ever reaches `on_done` — reply, duplicated reply or timeout —
-  // whichever wins the per-call OnceCallback guard; the rest are swallowed
-  // (and a swallowed injected duplicate is counted by the injector).
-  template <typename F, typename Done>
-  void InvokeAsyncWithTimeout(Micros timeout_micros, F&& fn, Done&& on_done) {
-    using R = std::invoke_result_t<F>;
+  void Call(const CallOptions& options, F&& fn, Done&& on_done) {
+    using R = std::invoke_result_t<F, obs::Span&>;
     FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
-    if (injector == nullptr && timeout_micros <= 0) {
-      // Clean fabric, no deadline to arm: skip the guard entirely. This is
-      // the steady-state hot path.
-      auto task = [this, fn = std::forward<F>(fn),
-                   done = std::forward<Done>(on_done)]() mutable {
-        RpcSourceScope source(name_);
-        AsyncResult<R> result;
-        try {
-          ChargeHop(latency_, seed_);  // request transit
-          if (failed_.load(std::memory_order_acquire)) {
-            throw NodeFailedError(name_);
-          }
-          if constexpr (std::is_void_v<R>) {
-            fn();
-          } else {
-            result.value.emplace(fn());
-          }
-          ChargeHop(latency_, seed_ ^ 1);  // response transit
-        } catch (...) {
-          result.error = std::current_exception();
-        }
-        done(std::move(result));
-      };
-      // shared_ptr wrapper: std::function requires copyable callables, and a
-      // failed Submit (pool shut down) must still be able to run the task.
-      auto shared = std::make_shared<decltype(task)>(std::move(task));
-      if (!pool_.Submit([shared] { (*shared)(); })) (*shared)();
-      return;
-    }
-
-    // Guarded path: the message gets a fate from the injector and the
-    // continuation gets a first-completion-wins guard shared with the
-    // timeout timer.
-    FaultInjector::Decision decision;
-    if (injector != nullptr) decision = injector->Decide(CurrentRpcSource(), name_);
+    FaultInjector::Decision fate;
+    if (injector != nullptr) fate = injector->Decide(CurrentRpcSource(), name_);
     auto guard =
         std::make_shared<OnceCallback<R>>(std::forward<Done>(on_done));
-    if (timeout_micros > 0) {
-      const TimeoutScheduler::TimerId id = TimeoutScheduler::Default().Schedule(
-          timeout_micros, [guard, callee = name_, timeout_micros] {
-            guard->Deliver(AsyncResult<R>::Fail(std::make_exception_ptr(
-                RpcTimeoutError(callee, timeout_micros))));
-          });
-      guard->timer_id.store(id, std::memory_order_release);
-    }
-    if (decision.drop_request) {
+    ArmRpcTimeout(guard, name_, options.timeout_micros);
+    if (fate.drop_request) {
       // Lost in transit: the callee never sees it. Only the timer (if any)
       // can answer the caller — exactly the hang the timeout exists for.
       return;
     }
-    auto task = [this, injector, decision, guard,
+    auto task = [this, injector, fate, guard, options = options,
                  fn = std::forward<F>(fn)]() mutable {
       RpcSourceScope source(name_);
+      const Clock& clock = MonotonicClock::Instance();
       AsyncResult<R> result;
       try {
-        ChargeHop(latency_, seed_, decision.latency_multiplier,
-                  decision.added_latency_micros);  // request transit
+        ChargeHop(latency_, seed_, fate.latency_multiplier,
+                  fate.added_latency_micros);  // request transit
         if (failed_.load(std::memory_order_acquire)) {
           throw NodeFailedError(name_);
         }
-        if constexpr (std::is_void_v<R>) {
-          fn();
-        } else {
-          result.value.emplace(fn());
+        {
+          obs::Span span(options.sink, clock, options.parent,
+                         std::move(options.span_name), name_);
+          if (options.deadline.Expired(clock)) {
+            span.AddTag("deadline_exceeded", std::uint64_t{1});
+            span.SetError("deadline exceeded");
+            throw qos::DeadlineExceededError(name_);
+          }
+          try {
+            if constexpr (std::is_void_v<R>) {
+              fn(span);
+            } else {
+              result.value.emplace(fn(span));
+            }
+          } catch (const std::exception& e) {
+            span.SetError(e.what());
+            throw;
+          }
         }
-        ChargeHop(latency_, seed_ ^ 1, decision.latency_multiplier,
-                  decision.added_latency_micros);  // response transit
+        ChargeHop(latency_, seed_, fate.latency_multiplier,
+                  fate.added_latency_micros);  // response transit
       } catch (...) {
         result.error = std::current_exception();
       }
-      if (decision.drop_reply) {
+      if (fate.drop_reply) {
         // The work ran (side effects applied) but the caller hears nothing.
-        if (injector != nullptr) injector->OnReplyDropped();
+        injector->OnReplyDropped();
         return;
       }
-      if (decision.duplicate_reply) {
-        if constexpr (std::is_void_v<R> || std::is_copy_constructible_v<R>) {
+      if constexpr (std::is_void_v<R> || std::is_copy_constructible_v<R>) {
+        if (fate.duplicate_reply) {
           AsyncResult<R> duplicate = result;
           DeliverAndCancelTimer(*guard, std::move(result));
-          if (!guard->Deliver(std::move(duplicate)) && injector != nullptr) {
+          if (!guard->Deliver(std::move(duplicate))) {
             injector->OnDuplicateSuppressed();
           }
           return;
@@ -189,104 +157,22 @@ class Node {
       }
       DeliverAndCancelTimer(*guard, std::move(result));
     };
+    // shared_ptr wrapper: std::function requires copyable callables, and a
+    // failed Submit (pool shut down) must still be able to run the task.
     auto shared = std::make_shared<decltype(task)>(std::move(task));
     if (!pool_.Submit([shared] { (*shared)(); })) (*shared)();
   }
 
-  // Span-aware InvokeAsync: `fn(span)` runs under a child span of `parent`
-  // covering the callee-side execution; an exception marks the span failed
-  // and reaches `on_done` as the AsyncResult error. The span finishes when
-  // `fn` returns — work that outlives `fn` (a continuation chain) should
-  // instead own a Span in its per-request state.
-  template <typename F, typename Done>
-  void InvokeSpannedAsync(obs::TraceSink* sink, const obs::TraceContext& parent,
-                          std::string span_name, F&& fn, Done&& on_done) {
-    InvokeAsync(
-        [this, sink, parent, name = std::move(span_name),
-         fn = std::forward<F>(fn)]() mutable {
-          obs::Span span(sink, MonotonicClock::Instance(), parent,
-                         std::move(name), name_);
-          try {
-            return fn(span);
-          } catch (const std::exception& e) {
-            span.SetError(e.what());
-            throw;
-          }
-        },
-        std::forward<Done>(on_done));
-  }
-
-  // Deadline-aware InvokeSpannedAsync: identical, except the deadline is
-  // re-checked on the callee's pool thread after the request hop — i.e.
-  // after the time the call spent in the network and the pool queue — and
-  // an expired budget fails the call with DeadlineExceededError *before*
-  // `fn` runs, so a saturated node sheds queued work it could no longer
-  // answer in time instead of scanning for a caller that already gave up.
-  // The span still records, tagged deadline_exceeded, so traces show where
-  // budgets die. An unlimited deadline costs one integer compare.
-  // `timeout_micros` > 0 additionally arms a per-RPC timeout (see
-  // InvokeAsyncWithTimeout) so a dropped message cannot hang the caller.
-  template <typename F, typename Done>
-  void InvokeSpannedAsyncWithDeadline(obs::TraceSink* sink,
-                                      const obs::TraceContext& parent,
-                                      std::string span_name,
-                                      qos::Deadline deadline,
-                                      Micros timeout_micros, F&& fn,
-                                      Done&& on_done) {
-    InvokeAsyncWithTimeout(
-        timeout_micros,
-        [this, sink, parent, name = std::move(span_name), deadline,
-         fn = std::forward<F>(fn)]() mutable {
-          obs::Span span(sink, MonotonicClock::Instance(), parent,
-                         std::move(name), name_);
-          if (deadline.Expired(MonotonicClock::Instance())) {
-            span.AddTag("deadline_exceeded", std::uint64_t{1});
-            span.SetError("deadline exceeded");
-            throw qos::DeadlineExceededError(name_);
-          }
-          try {
-            return fn(span);
-          } catch (const std::exception& e) {
-            span.SetError(e.what());
-            throw;
-          }
-        },
-        std::forward<Done>(on_done));
-  }
-
-  template <typename F, typename Done>
-  void InvokeSpannedAsyncWithDeadline(obs::TraceSink* sink,
-                                      const obs::TraceContext& parent,
-                                      std::string span_name,
-                                      qos::Deadline deadline, F&& fn,
-                                      Done&& on_done) {
-    InvokeSpannedAsyncWithDeadline(sink, parent, std::move(span_name),
-                                   deadline, /*timeout_micros=*/0,
-                                   std::forward<F>(fn),
-                                   std::forward<Done>(on_done));
-  }
-
-  // Span-aware Invoke: runs `fn(span)` on this node's pool under a span that
-  // is a child of `parent`, covering the callee-side execution (the gap
-  // between the parent span and this one is network + queue time). The span
-  // is a no-op when `parent` is unsampled or `sink` is null, so untraced
-  // requests pay nothing. An exception from `fn` marks the span failed and
-  // still propagates through the future.
+  // Future facade over a plain Call(), for tests: `fn()` runs on this
+  // node's pool and its outcome (or NodeFailedError while failed() is set)
+  // arrives through the future. A dropped message breaks the promise (the
+  // future throws std::future_error) rather than hanging the caller.
   template <typename F>
-  auto InvokeSpanned(obs::TraceSink* sink, const obs::TraceContext& parent,
-                     std::string span_name, F&& fn)
-      -> std::future<std::invoke_result_t<F, obs::Span&>> {
-    return Invoke([this, sink, parent, name = std::move(span_name),
-                   fn = std::forward<F>(fn)]() mutable {
-      obs::Span span(sink, MonotonicClock::Instance(), parent,
-                     std::move(name), name_);
-      try {
-        return fn(span);
-      } catch (const std::exception& e) {
-        span.SetError(e.what());
-        throw;
-      }
-    });
+  auto Invoke(F&& fn) -> std::future<std::invoke_result_t<F>> {
+    auto [done, future] = PromiseCallback<std::invoke_result_t<F>>();
+    Call({}, [fn = std::forward<F>(fn)](obs::Span&) mutable { return fn(); },
+         std::move(done));
+    return std::move(future);
   }
 
   void set_failed(bool failed) {

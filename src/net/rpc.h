@@ -1,11 +1,12 @@
-// RPC helpers over Node::Invoke / Node::InvokeAsync.
+// RPC helpers around Node::Call.
 //
 // The continuation-passing request path (blender -> broker -> searcher)
 // moves results between tiers as AsyncResult<R> values delivered to
 // completion callbacks, and joins fan-outs with FanInCollector: an
 // atomic-countdown aggregator that owns the per-request partials on the
 // heap and fires a single continuation on whichever pool thread delivers
-// the last child. No thread ever parks in a future.get() between tiers.
+// the last child. No thread ever parks in a future.get() between tiers;
+// PromiseCallback bridges a callback to a future for the blocking facades.
 #pragma once
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -104,8 +106,8 @@ class OnceCallback {
   }
 
   // Cooperating one-shot timer (TimeoutScheduler id; 0 = none): armed by
-  // the caller next to the RPC, disarmed by whichever delivery wins (see
-  // DeliverAndCancelTimer in net/timeout.h).
+  // ArmRpcTimeout next to the RPC, disarmed by whichever delivery wins
+  // (DeliverAndCancelTimer; both in net/timeout.h).
   std::atomic<std::uint64_t> timer_id{0};
 
  private:
@@ -164,35 +166,25 @@ class FanInCollector {
   Continuation done_;
 };
 
-// Collects the results of a vector of futures, dropping those that failed
-// with an exception (fan-out with partial results). Returns how many
-// futures failed via `failures` and the first failure's what() via
-// `first_error` when non-null. Only used off the hot path (tests, tools);
-// the serving pipeline joins fan-outs with FanInCollector instead.
+// Bridges a continuation to a future: returns a completion callback and the
+// future it fulfils. When every copy of the callback is destroyed without
+// being called (a dropped message with no timeout), the promise breaks and
+// the future throws std::future_error instead of hanging its reader.
 template <typename R>
-std::vector<R> CollectPartial(std::vector<std::future<R>>& futures,
-                              std::size_t* failures = nullptr,
-                              std::string* first_error = nullptr) {
-  std::vector<R> results;
-  results.reserve(futures.size());
-  std::size_t failed = 0;
-  for (auto& f : futures) {
-    try {
-      results.push_back(f.get());
-    } catch (const std::exception& e) {
-      ++failed;
-      if (first_error != nullptr && first_error->empty()) {
-        *first_error = e.what();
-      }
-    } catch (...) {
-      ++failed;
-      if (first_error != nullptr && first_error->empty()) {
-        *first_error = "unknown error";
-      }
+std::pair<std::function<void(AsyncResult<R>)>, std::future<R>>
+PromiseCallback() {
+  auto promise = std::make_shared<std::promise<R>>();
+  std::future<R> future = promise->get_future();
+  auto done = [promise](AsyncResult<R> result) {
+    if (!result.ok()) {
+      promise->set_exception(result.error);
+    } else if constexpr (std::is_void_v<R>) {
+      promise->set_value();
+    } else {
+      promise->set_value(std::move(*result.value));
     }
-  }
-  if (failures != nullptr) *failures = failed;
-  return results;
+  };
+  return {std::move(done), std::move(future)};
 }
 
 }  // namespace jdvs

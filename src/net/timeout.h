@@ -7,9 +7,10 @@
 // timer alongside the RPC, the reply path cancels it, and if the reply never
 // comes the timer delivers a typed RpcTimeoutError through the same
 // first-completion-wins guard (OnceCallback in rpc.h) the reply would have
-// used. One worker thread serves every node in the process, mirroring how a
-// real client library multiplexes deadlines onto one timer wheel instead of
-// burning a thread per outstanding call.
+// used; ArmRpcTimeout is that arm, shared by Node::Call and the blender's
+// per-broker guard. One worker thread serves every node in the process,
+// mirroring how a real client library multiplexes deadlines onto one timer
+// wheel instead of burning a thread per outstanding call.
 #pragma once
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -105,6 +107,22 @@ class TimeoutScheduler {
   std::atomic<std::uint64_t> cancelled_{0};
   std::thread worker_;  // last member: joins before the rest is torn down
 };
+
+// Arms a `timeout_micros` timer on the shared scheduler that delivers
+// RpcTimeoutError(callee) through `guard` unless a reply wins it first (the
+// winner disarms the timer, see DeliverAndCancelTimer). No-op when
+// `timeout_micros` <= 0.
+template <typename R>
+void ArmRpcTimeout(const std::shared_ptr<OnceCallback<R>>& guard,
+                   const std::string& callee, Micros timeout_micros) {
+  if (timeout_micros <= 0) return;
+  const TimeoutScheduler::TimerId id = TimeoutScheduler::Default().Schedule(
+      timeout_micros, [guard, callee, timeout_micros] {
+        guard->Deliver(AsyncResult<R>::Fail(std::make_exception_ptr(
+            RpcTimeoutError(callee, timeout_micros))));
+      });
+  guard->timer_id.store(id, std::memory_order_release);
+}
 
 // Completes `guard` with `result`; when this delivery wins the race it also
 // disarms the cooperating timeout timer (if one was armed in

@@ -126,17 +126,9 @@ std::future<QueryResponse> Blender::SearchAsync(const QueryImage& query,
                                                 const QueryOptions& options) {
   // Future facade over the continuation path; only the blocking Search()
   // facade ever waits on it.
-  auto promise = std::make_shared<std::promise<QueryResponse>>();
-  std::future<QueryResponse> future = promise->get_future();
-  SearchAsync(query, options,
-              [promise](AsyncResult<QueryResponse> result) {
-                if (result.ok()) {
-                  promise->set_value(*std::move(result.value));
-                } else {
-                  promise->set_exception(result.error);
-                }
-              });
-  return future;
+  auto [done, future] = PromiseCallback<QueryResponse>();
+  SearchAsync(query, options, std::move(done));
+  return std::move(future);
 }
 
 qos::Deadline Blender::ResolveDeadline(const QueryOptions& options) const {
@@ -181,8 +173,8 @@ void Blender::SearchAsync(const QueryImage& query, const QueryOptions& options,
   state->deadline = deadline;
   state->submitted_micros = MonotonicClock::Instance().NowMicros();
   state->flight.start_micros = state->submitted_micros;
-  node_.InvokeAsync(
-      [this, state, query] { BeginQuery(state, query); },
+  node_.Call(
+      {}, [this, state, query](obs::Span&) { BeginQuery(state, query); },
       [state](AsyncResult<void> begun) {
         // An exception here means the chain never started (NodeFailedError
         // while this blender is down, or a pre-dispatch stage threw after
@@ -337,21 +329,15 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
     // First-completion-wins guard per broker slot: the real reply and the
     // (optional) RPC timeout race, whichever arrives first feeds the
     // collector and the loser is suppressed — a FanInCollector slot must
-    // complete exactly once.
+    // complete exactly once. The timeout bounds the broker's whole fan-out,
+    // which completes after the broker's own Node::Call delivered its
+    // dispatch result, so it is armed here rather than as that call's.
     auto guard = std::make_shared<OnceCallback<Broker::Reply>>(
         [collector, b](Broker::SearchResult result) {
           collector->Complete(b, std::move(result));
         });
-    if (config_.broker_rpc_timeout_micros > 0) {
-      const TimeoutScheduler::TimerId id = TimeoutScheduler::Default().Schedule(
-          config_.broker_rpc_timeout_micros,
-          [guard, callee = brokers_[b]->name(),
-           timeout = config_.broker_rpc_timeout_micros] {
-            guard->Deliver(Broker::SearchResult::Fail(
-                std::make_exception_ptr(RpcTimeoutError(callee, timeout))));
-          });
-      guard->timer_id.store(id, std::memory_order_release);
-    }
+    ArmRpcTimeout(guard, brokers_[b]->name(),
+                  config_.broker_rpc_timeout_micros);
     brokers_[b]->SearchAsync(
         feature, state->fetch_k, effective_nprobe, state->category_filter,
         state->options.filter, state->deadline, root.context(),

@@ -197,11 +197,12 @@ void Broker::SearchAsync(FeatureVector query, std::size_t k,
   auto state = std::make_shared<FanOutState>(std::move(query), k, nprobe,
                                              category_filter, std::move(filter),
                                              deadline, std::move(on_done));
-  node_.InvokeAsync(
+  node_.Call(
+      {},
       // The token covers the tail of the entry task: an attempt can answer
       // the caller while this task is still sweeping hedge timers, and the
       // destructor must not tear the broker down under it.
-      [this, state, parent, token = AcquireCallbackToken()] {
+      [this, state, parent, token = AcquireCallbackToken()](obs::Span&) {
         state->span = obs::Span(trace_sink_, MonotonicClock::Instance(),
                                 parent, "broker.search", node_.name());
         state->context = state->span.context();
@@ -221,17 +222,14 @@ std::future<std::vector<SearchHit>> Broker::SearchAsync(
     FeatureVector query, std::size_t k, std::size_t nprobe,
     CategoryId category_filter, FilterExpression filter,
     qos::Deadline deadline, obs::TraceContext parent) {
-  auto promise = std::make_shared<std::promise<std::vector<SearchHit>>>();
-  std::future<std::vector<SearchHit>> future = promise->get_future();
+  using Hits = AsyncResult<std::vector<SearchHit>>;
+  auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
   SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
-              deadline, parent, [promise](SearchResult result) {
-                if (result.ok()) {
-                  promise->set_value(std::move(result.value->hits));
-                } else {
-                  promise->set_exception(result.error);
-                }
+              deadline, parent, [done = std::move(done)](SearchResult result) {
+                done(result.ok() ? Hits::Ok(std::move(result.value->hits))
+                                 : Hits::Fail(result.error));
               });
-  return future;
+  return std::move(future);
 }
 
 // Runs on a broker pool thread; returns as soon as the first wave is

@@ -276,15 +276,9 @@ void VisualSearchCluster::BuildAndInstall(
     Searcher* searcher = searcher_ptr.get();
     done.push_back(builders.SubmitWithResult([this, searcher, quantizer,
                                               hwm] {
-      FullIndexBuilderConfig fc;
-      fc.index_config = config_.ivf;
-      fc.training_sample = config_.training_sample;
-      fc.kmeans = config_.kmeans;
-      fc.seed = config_.seed;
-      FullIndexBuilder builder(catalog_, image_store_, features_, fc);
       FullIndexReport report;
-      auto index =
-          builder.Build(quantizer, searcher->partition_filter(), &report);
+      auto index = FullBuilder().Build(quantizer,
+                                       searcher->partition_filter(), &report);
       searcher->InstallIndex(std::move(index), hwm);
       JDVS_LOG(kInfo) << searcher->name() << ": installed full index with "
                       << report.images_indexed << " images ("
@@ -296,14 +290,7 @@ void VisualSearchCluster::BuildAndInstall(
 }
 
 void VisualSearchCluster::BuildAndInstallFullIndexes() {
-  FullIndexBuilderConfig fc;
-  fc.index_config = config_.ivf;
-  fc.training_sample = config_.training_sample;
-  fc.kmeans = config_.kmeans;
-  fc.seed = config_.seed;
-  FullIndexBuilder builder(catalog_, image_store_, features_, fc);
-  quantizer_ = builder.TrainQuantizer();
-  BuildAndInstall(quantizer_);
+  BuildAndInstall(TrainQuantizer());
 }
 
 void VisualSearchCluster::Start() {
@@ -387,42 +374,34 @@ std::shared_ptr<Subscription> VisualSearchCluster::SubscribeUpdates() {
   return topic_.Subscribe(kUpdateTopic);
 }
 
+FullIndexBuilder VisualSearchCluster::FullBuilder() {
+  return FullIndexBuilder(catalog_, image_store_, features_,
+                          FullIndexBuilderConfig{
+                              .index_config = config_.ivf,
+                              .training_sample = config_.training_sample,
+                              .kmeans = config_.kmeans,
+                              .seed = config_.seed,
+                          });
+}
+
 std::shared_ptr<const CoarseQuantizer> VisualSearchCluster::TrainQuantizer() {
-  FullIndexBuilderConfig fc;
-  fc.index_config = config_.ivf;
-  fc.training_sample = config_.training_sample;
-  fc.kmeans = config_.kmeans;
-  fc.seed = config_.seed;
-  FullIndexBuilder builder(catalog_, image_store_, features_, fc);
-  quantizer_ = builder.TrainQuantizer();
+  quantizer_ = FullBuilder().TrainQuantizer();
   return quantizer_;
 }
 
 std::unique_ptr<IvfIndex> VisualSearchCluster::BuildPartitionIndex(
     std::size_t partition, FullIndexReport* report) {
   if (!quantizer_) TrainQuantizer();
-  FullIndexBuilderConfig fc;
-  fc.index_config = config_.ivf;
-  fc.training_sample = config_.training_sample;
-  fc.kmeans = config_.kmeans;
-  fc.seed = config_.seed;
-  FullIndexBuilder builder(catalog_, image_store_, features_, fc);
-  return builder.Build(quantizer_, partitioner_.FilterFor(partition), report);
+  return FullBuilder().Build(quantizer_, partitioner_.FilterFor(partition),
+                             report);
 }
 
 void VisualSearchCluster::RunFullIndexingCycle() {
-  FullIndexBuilderConfig fc;
-  fc.index_config = config_.ivf;
-  fc.training_sample = config_.training_sample;
-  fc.kmeans = config_.kmeans;
-  fc.seed = config_.seed;
-  FullIndexBuilder builder(catalog_, image_store_, features_, fc);
   // The day log was already applied to the catalog on publish; replaying it
   // is idempotent and mirrors the paper's pipeline, after which the log is
   // truncated for the next day.
-  builder.ApplyMessageLog(day_log_);
-  quantizer_ = builder.TrainQuantizer();
-  BuildAndInstall(quantizer_);
+  FullBuilder().ApplyMessageLog(day_log_);
+  BuildAndInstall(TrainQuantizer());
 }
 
 bool VisualSearchCluster::WaitForUpdatesDrained(Micros timeout_micros) {

@@ -285,6 +285,8 @@ class VisualSearchCluster {
  private:
   void ApplyToCatalog(const ProductUpdateMessage& message);
   void BuildAndInstall(std::shared_ptr<const CoarseQuantizer> quantizer);
+  // Full-index builder over this cluster's substrate and build config.
+  FullIndexBuilder FullBuilder();
 
   ClusterConfig config_;
   // Observability substrate first: the topic queue and every tier below

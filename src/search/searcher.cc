@@ -216,17 +216,10 @@ std::future<std::vector<SearchHit>> Searcher::SearchAsync(
     qos::Deadline deadline, obs::TraceContext parent) {
   // Future facade over the continuation path, for tests and tools that want
   // a blocking join; the broker drives the callback overload directly.
-  auto promise = std::make_shared<std::promise<std::vector<SearchHit>>>();
-  std::future<std::vector<SearchHit>> future = promise->get_future();
+  auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
   SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
-              deadline, parent, [promise](SearchResult result) {
-                if (result.ok()) {
-                  promise->set_value(*std::move(result.value));
-                } else {
-                  promise->set_exception(result.error);
-                }
-              });
-  return future;
+              deadline, parent, std::move(done));
+  return std::move(future);
 }
 
 void Searcher::SearchAsync(FeatureVector query, std::size_t k,
@@ -240,8 +233,12 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
   // Counted from dispatch (not scan start) so a query queued behind a
   // running scan already reads as concurrent and opts into batching.
   scans_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  node_.InvokeSpannedAsyncWithDeadline(
-      trace_sink_, parent, "searcher.scan", deadline, rpc_timeout_micros,
+  node_.Call(
+      CallOptions{.sink = trace_sink_,
+                  .parent = parent,
+                  .span_name = "searcher.scan",
+                  .deadline = deadline,
+                  .timeout_micros = rpc_timeout_micros},
       [this, query = std::move(query), k, nprobe, category_filter,
        filter = std::move(filter), filter_micros_out, io_micros_out,
        tier_degraded_out, deadline](obs::Span& span) {

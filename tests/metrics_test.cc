@@ -3,10 +3,8 @@
 
 #include <sstream>
 
-#include "common/clock.h"
 #include "metrics/cdf.h"
 #include "metrics/latency_recorder.h"
-#include "metrics/qps_counter.h"
 #include "metrics/time_series.h"
 #include "obs/registry.h"
 
@@ -30,33 +28,6 @@ TEST(SummarizeLatencyTest, ContainsAllFields) {
   EXPECT_NE(s.find("n=2"), std::string::npos);
   EXPECT_NE(s.find("mean="), std::string::npos);
   EXPECT_NE(s.find("p99="), std::string::npos);
-}
-
-TEST(PrintLatencyTest, WritesLine) {
-  Histogram h;
-  h.Record(10);
-  std::ostringstream os;
-  PrintLatency(os, h, "x");
-  EXPECT_NE(os.str().find("x: n=1"), std::string::npos);
-  EXPECT_EQ(os.str().back(), '\n');
-}
-
-TEST(QpsCounterTest, CountsAndComputesRate) {
-  ManualClock clock(0);
-  QpsCounter counter(clock);
-  counter.Add(100);
-  clock.AdvanceMicros(2'000'000);
-  EXPECT_EQ(counter.count(), 100u);
-  EXPECT_NEAR(counter.Qps(), 50.0, 1e-9);
-  counter.Reset();
-  EXPECT_EQ(counter.count(), 0u);
-}
-
-TEST(QpsCounterTest, ZeroElapsedIsZeroQps) {
-  ManualClock clock(5);
-  QpsCounter counter(clock);
-  counter.Add();
-  EXPECT_EQ(counter.Qps(), 0.0);
 }
 
 TEST(HourlySeriesTest, CountsByHourAndType) {

@@ -1,10 +1,11 @@
-// Tests for the simulated cluster fabric: partitioner, latency model, nodes,
-// load balancer, partial-result collection, fault injection and per-RPC
-// timeouts.
+// Tests for the simulated cluster fabric: partitioner, latency model, nodes
+// and their one RPC path (Node::Call), load balancer, fan-in, fault
+// injection and per-RPC timeouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "net/partitioner.h"
 #include "net/rpc.h"
 #include "net/timeout.h"
+#include "obs/trace.h"
+#include "qos/deadline.h"
 #include "store/catalog.h"
 
 namespace jdvs {
@@ -154,34 +157,35 @@ TEST(RoundRobinTest, RejectsEmptyBackendList) {
   EXPECT_THROW(RoundRobinBalancer<int>({}), std::invalid_argument);
 }
 
-TEST(NodeTest, InvokeAsyncDeliversValueToCallback) {
+TEST(NodeTest, CallDeliversValueToCallback) {
   Node node("async", 2);
   std::promise<AsyncResult<int>> delivered;
-  node.InvokeAsync([] { return 41 + 1; },
-                   [&delivered](AsyncResult<int> result) {
-                     delivered.set_value(std::move(result));
-                   });
+  node.Call({}, [](obs::Span&) { return 41 + 1; },
+            [&delivered](AsyncResult<int> result) {
+              delivered.set_value(std::move(result));
+            });
   const AsyncResult<int> result = delivered.get_future().get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result.value, 42);
 }
 
-TEST(NodeTest, InvokeAsyncVoid) {
+TEST(NodeTest, CallVoid) {
   Node node("async-void", 1);
   std::promise<bool> done;
-  node.InvokeAsync([] {}, [&done](AsyncResult<void> result) {
+  node.Call({}, [](obs::Span&) {}, [&done](AsyncResult<void> result) {
     done.set_value(result.ok());
   });
   EXPECT_TRUE(done.get_future().get());
 }
 
-TEST(NodeTest, InvokeAsyncFailedNodeDeliversError) {
+TEST(NodeTest, CallFailedNodeDeliversError) {
   Node node("flaky-async", 1);
   node.set_failed(true);
   std::promise<AsyncResult<int>> delivered;
-  node.InvokeAsync([] { return 1; }, [&delivered](AsyncResult<int> result) {
-    delivered.set_value(std::move(result));
-  });
+  node.Call({}, [](obs::Span&) { return 1; },
+            [&delivered](AsyncResult<int> result) {
+              delivered.set_value(std::move(result));
+            });
   const AsyncResult<int> result = delivered.get_future().get();
   ASSERT_FALSE(result.ok());
   EXPECT_THROW(std::rethrow_exception(result.error), NodeFailedError);
@@ -189,17 +193,90 @@ TEST(NodeTest, InvokeAsyncFailedNodeDeliversError) {
             std::string::npos);
 }
 
-TEST(NodeTest, InvokeAsyncFnExceptionReachesCallback) {
+TEST(NodeTest, CallFnExceptionReachesCallback) {
   Node node("thrower", 1);
   std::promise<AsyncResult<int>> delivered;
-  node.InvokeAsync(
-      []() -> int { throw std::runtime_error("scan exploded"); },
+  node.Call(
+      {}, [](obs::Span&) -> int { throw std::runtime_error("scan exploded"); },
       [&delivered](AsyncResult<int> result) {
         delivered.set_value(std::move(result));
       });
   const AsyncResult<int> result = delivered.get_future().get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(DescribeException(result.error), "scan exploded");
+}
+
+// A call under a sampled parent: its callee-side span records into `sink`.
+CallOptions Traced(obs::TraceSink& sink) {
+  CallOptions options;
+  options.sink = &sink;
+  options.parent = obs::TraceContext{.trace_id = 7, .span_id = 1};
+  options.span_name = "scan";
+  return options;
+}
+
+TEST(NodeTest, ExpiredDeadlineShedsCallAndTagsSpan) {
+  obs::TraceSink sink;
+  Node node("shedder", 1);
+  std::atomic<bool> ran{false};
+  std::promise<AsyncResult<int>> delivered;
+  CallOptions options = Traced(sink);
+  options.deadline = qos::Deadline::At(0);  // already expired
+  node.Call(options,
+            [&ran](obs::Span&) {
+              ran.store(true);
+              return 1;
+            },
+            [&delivered](AsyncResult<int> result) {
+              delivered.set_value(std::move(result));
+            });
+  const AsyncResult<int> result = delivered.get_future().get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(qos::IsDeadlineExceeded(result.error));
+  EXPECT_FALSE(ran.load());
+  const std::vector<obs::SpanRecord> spans = sink.Collect();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "scan");
+  EXPECT_EQ(spans[0].node, "shedder");
+  EXPECT_FALSE(spans[0].ok);
+  EXPECT_EQ(spans[0].status, "deadline exceeded");
+  using Tags = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(spans[0].tags, (Tags{{"deadline_exceeded", "1"}}));
+}
+
+TEST(NodeTest, FnExceptionFailsSpanAndReachesCallback) {
+  obs::TraceSink sink;
+  Node node("thrower-traced", 1);
+  std::promise<AsyncResult<int>> delivered;
+  node.Call(Traced(sink),
+            [](obs::Span&) -> int {
+              throw std::runtime_error("scan exploded");
+            },
+            [&delivered](AsyncResult<int> result) {
+              delivered.set_value(std::move(result));
+            });
+  const AsyncResult<int> result = delivered.get_future().get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(DescribeException(result.error), "scan exploded");
+  const std::vector<obs::SpanRecord> spans = sink.Collect();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_FALSE(spans[0].ok);
+  EXPECT_EQ(spans[0].status, "scan exploded");
+}
+
+TEST(NodeTest, ShutDownPoolDeliversInline) {
+  Node node("stopped", 1);
+  node.pool().Shutdown();
+  std::optional<AsyncResult<int>> delivered;
+  node.Call({}, [](obs::Span&) { return 5; },
+            [&delivered](AsyncResult<int> result) {
+              delivered = std::move(result);
+            });
+  // No pool thread is left: the task ran on this thread before Call
+  // returned.
+  ASSERT_TRUE(delivered.has_value());
+  ASSERT_TRUE(delivered->ok());
+  EXPECT_EQ(*delivered->value, 5);
 }
 
 TEST(FanInCollectorTest, ZeroChildrenFiresImmediately) {
@@ -292,20 +369,6 @@ TEST(FanInCollectorTest, ContinuationReleasedAfterFire) {
   EXPECT_FALSE(watch.expired());
   collector->Complete(0, AsyncResult<int>::Ok(1));
   EXPECT_TRUE(watch.expired());  // collector still alive, capture is not
-}
-
-TEST(CollectPartialTest, DropsFailedFutures) {
-  Node good("good", 1);
-  Node bad("bad", 1);
-  bad.set_failed(true);
-  std::vector<std::future<int>> futures;
-  futures.push_back(good.Invoke([] { return 1; }));
-  futures.push_back(bad.Invoke([] { return 2; }));
-  futures.push_back(good.Invoke([] { return 3; }));
-  std::size_t failures = 0;
-  const auto results = CollectPartial(futures, &failures);
-  EXPECT_EQ(results, (std::vector<int>{1, 3}));
-  EXPECT_EQ(failures, 1u);
 }
 
 // ---- Fault injection ----
@@ -412,6 +475,12 @@ TEST(TimeoutSchedulerTest, FiresAndCancels) {
   EXPECT_FALSE(must_not_fire.load());
 }
 
+CallOptions WithTimeout(Micros timeout_micros) {
+  CallOptions options;
+  options.timeout_micros = timeout_micros;
+  return options;
+}
+
 TEST(NodeFaultTest, TimeoutBreaksTotalRequestLoss) {
   // 100% request loss: without a timeout the continuation would never fire.
   FaultInjector injector(5);
@@ -419,8 +488,8 @@ TEST(NodeFaultTest, TimeoutBreaksTotalRequestLoss) {
   Node node("lossy", 1);
   node.set_fault_injector(&injector);
   std::promise<AsyncResult<int>> delivered;
-  node.InvokeAsyncWithTimeout(
-      5'000, [] { return 1; },
+  node.Call(
+      WithTimeout(5'000), [](obs::Span&) { return 1; },
       [&delivered](AsyncResult<int> result) {
         delivered.set_value(std::move(result));
       });
@@ -435,8 +504,8 @@ TEST(NodeFaultTest, ReplyBeatsTimeoutOnCleanLink) {
   Node node("clean", 1);
   node.set_fault_injector(&injector);
   std::promise<AsyncResult<int>> delivered;
-  node.InvokeAsyncWithTimeout(
-      10'000'000, [] { return 27; },
+  node.Call(
+      WithTimeout(10'000'000), [](obs::Span&) { return 27; },
       [&delivered](AsyncResult<int> result) {
         delivered.set_value(std::move(result));
       });
@@ -461,7 +530,7 @@ TEST(NodeFaultTest, DuplicateReplyDeliveredExactlyOnce) {
   node.set_fault_injector(&injector);
   std::atomic<int> deliveries{0};
   std::promise<void> first;
-  node.InvokeAsync([] { return 3; }, [&](AsyncResult<int> result) {
+  node.Call({}, [](obs::Span&) { return 3; }, [&](AsyncResult<int> result) {
     ASSERT_TRUE(result.ok());
     if (deliveries.fetch_add(1) == 0) first.set_value();
   });
@@ -487,8 +556,9 @@ TEST(NodeFaultTest, DroppedReplyStillRanTheWork) {
   node.set_fault_injector(&injector);
   std::atomic<bool> ran{false};
   std::promise<AsyncResult<void>> delivered;
-  node.InvokeAsyncWithTimeout(
-      5'000, [&ran] { ran.store(true); },
+  node.Call(
+      WithTimeout(5'000),
+      [&ran](obs::Span&) { ran.store(true); },
       [&delivered](AsyncResult<void> result) {
         delivered.set_value(std::move(result));
       });
