@@ -544,7 +544,7 @@ DiskFaultResult RunDiskFaults(std::uint64_t seed, bool quick,
                                std::to_string(p) + "-replica-" +
                                std::to_string(r) + "-g0.jdvsidx";
       Searcher& searcher = cluster->searcher(p, r);
-      searcher.SaveTieredSnapshot(path);
+      searcher.SaveIndexSnapshot(path);
       searcher.InstallFromTieredSnapshot(path, /*resident_budget_bytes=*/0);
       TierScrubConfig sc;
       sc.poll_micros = 2'000;

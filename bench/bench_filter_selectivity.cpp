@@ -101,7 +101,7 @@ struct SweepRow {
   std::int64_t p99_us = 0;
   double hits_mean = 0.0;
   double actual_selectivity = 0.0;
-  std::string strategy;  // pushdown only
+  std::string strategy{};  // pushdown only
   double blocks_skipped_mean = 0.0;
   std::uint64_t widened = 0;
   std::uint64_t estimated = 0;  // queries planned via the selectivity probe

@@ -1,10 +1,10 @@
 // Tiered memory/disk serving: big catalog, small residency budget.
 //
 // The tiered subsystem keeps the IVF head (quantizer, directory, filters)
-// in RAM and leaves posting-list payloads in the mmap'd v4 snapshot,
+// in RAM and leaves posting-list payloads in the mmap'd index snapshot,
 // demand-paged through the hot-list residency cache (clock eviction, pins).
 // This harness builds a catalog whose posting bytes are ~10x the residency
-// budget, serves it from the v4 snapshot under a Zipfian query mix, and
+// budget, serves it from the mapped snapshot under a Zipfian query mix, and
 // answers the three questions that decide whether tiering is shippable:
 //
 //   1. Correctness: recall@10 against the RAM-resident index (must be 1.0 —
@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Tiered catalog: head in RAM, postings on disk",
-              "full catalog served from a v4 snapshot with ~1/10 of the "
-              "posting bytes resident; Zipfian mix, cold-start curve");
+              "full catalog served from a mapped snapshot with ~1/10 of "
+              "the posting bytes resident; Zipfian mix, cold-start curve");
 
   const std::size_t images = quick ? 20'000 : 100'000;
   const std::size_t pool_size = quick ? 64 : 256;
@@ -219,9 +219,9 @@ int main(int argc, char** argv) {
   Corpus corpus = BuildCorpus(images, pool_size, seed);
   const std::string snap =
       (std::filesystem::temp_directory_path() /
-       ("jdvs_bench_tiered_" + std::to_string(::getpid()) + ".v4"))
+       ("jdvs_bench_tiered_" + std::to_string(::getpid()) + ".snap"))
           .string();
-  SaveTieredSnapshot(*corpus.ram, snap);
+  SaveIndexSnapshot(*corpus.ram, snap);
 
   // Budget: ~1/10 of the catalog's posting bytes.
   std::size_t payload_bytes = 0;

@@ -106,9 +106,9 @@ int main(int argc, char** argv) {
     }
   });
   const std::string pq_path = (dir / "jdvs_example_pq.snap").string();
-  SaveIvfPqSnapshot(compressed, pq_path);
+  SaveIndexSnapshot(compressed, pq_path);
   const auto pq_bytes = std::filesystem::file_size(pq_path);
-  auto reloaded = LoadIvfPqSnapshot(pq_path);
+  auto reloaded = LoadIndexSnapshot(pq_path);
   std::printf("\nIVF-PQ snapshot: %.1f MB vs %.1f MB flat (%.1fx smaller), "
               "reloaded %zu images\n",
               static_cast<double>(pq_bytes) / 1e6,

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "index/snapshot.h"
-#include "tier/tiered_snapshot.h"
 
 namespace jdvs::ctrl {
 
@@ -284,13 +283,13 @@ std::size_t ClusterController::RestoreIndex(std::size_t partition,
           !sibling.HasIndex()) {
         continue;
       }
-      sibling.SaveTieredSnapshot(path);
+      sibling.SaveIndexSnapshot(path);
       written = true;
     }
     if (!written) {
       const std::uint64_t hwm = cluster_.last_update_sequence();
       const auto index = cluster_.BuildPartitionIndex(partition);
-      jdvs::SaveTieredSnapshot(*index, path, hwm);
+      SaveIndexSnapshot(*index, path, hwm);
     }
     searcher.InstallFromTieredSnapshot(path, config_.tiered_resident_budget);
     // The replaced generation's mapping just died with the old index; its

@@ -161,7 +161,7 @@ class ClusterController {
   Micros BackoffWhileDegraded();
   std::string SnapshotPath(std::size_t partition) const;
   // Replica-private, generation-suffixed tiered image path. A fresh inode
-  // per install: SaveTieredSnapshot takes an exclusive flock and the sick
+  // per install: SaveIndexSnapshot takes an exclusive flock and the sick
   // replica still holds a shared one on its current file, so reusing a
   // path would deadlock-or-fail; a new generation never conflicts.
   std::string TieredSnapshotPath(std::size_t partition, std::size_t replica,

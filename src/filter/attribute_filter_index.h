@@ -111,7 +111,7 @@ class AttributeFilterIndex {
                                  const ValidityBitmap* validity) const;
 
   // Writer-side checksum over the numeric columns (order-sensitive mix of
-  // every published value) — snapshot v3 stamps this so load can verify the
+  // every published value) — the snapshot stamps this so load can verify the
   // rebuilt filter state matches what was saved.
   std::uint64_t ColumnChecksum() const noexcept;
 

@@ -50,13 +50,11 @@ IvfIndex::IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
   } else if (config_.rerank_candidates > 0) {
     raw_ = std::make_unique<VectorSet>(quantizer_->dim());
   }
-  const std::size_t row_bytes =
-      pq_ == nullptr ? padded_dim_ * sizeof(float) : pq_->code_bytes();
   const std::size_t run_entries =
       pq_ == nullptr ? kScanRunEntries : kCodeRunEntries;
   blocks_.reserve(quantizer_->num_clusters());
   for (std::size_t c = 0; c < quantizer_->num_clusters(); ++c) {
-    blocks_.push_back(std::make_unique<ScanBlock>(row_bytes, run_entries));
+    blocks_.push_back(std::make_unique<ScanBlock>(row_bytes(), run_entries));
   }
 }
 
@@ -73,13 +71,6 @@ LocalId IvfIndex::AppendMetadata(std::string_view image_url,
   url_to_local_.emplace(std::string(image_url), local);
   product_to_locals_[product_id].push_back(local);
   return local;
-}
-
-void IvfIndex::AppendRow(std::uint32_t list, LocalId local,
-                         const void* payload, float norm) {
-  ScanBlock& block = *blocks_[list];
-  block.Append(local, payload, norm);
-  local_row_.push_back(block.PayloadAt(block.size() - 1));
 }
 
 LocalId IvfIndex::AddImage(std::string_view image_url, ProductId product_id,
@@ -102,10 +93,10 @@ LocalId IvfIndex::AddImage(std::string_view image_url, ProductId product_id,
     // Padded row (padding lanes stay zero: the scratch row was
     // zero-allocated and only dim() floats are rewritten) plus its norm.
     std::memcpy(pad_scratch_.get(), feature.data(), dim() * sizeof(float));
-    AppendRow(list, local, pad_scratch_.get(),
-              SquaredNorm(pad_scratch_.get(), dim()));
+    blocks_[list]->Append(local, pad_scratch_.get(),
+                          SquaredNorm(pad_scratch_.get(), dim()));
   } else {
-    AppendRow(list, local, pq_->Encode(feature).data(), 0.0f);
+    blocks_[list]->Append(local, pq_->Encode(feature).data());
     if (raw_) raw_->Append(feature);
   }
   // 3. Valid and searchable from this moment (data freshness).
@@ -156,13 +147,24 @@ bool IvfIndex::IsImageValid(std::string_view image_url) const {
 LocalId IvfIndex::AddImageMetadata(std::string_view image_url,
                                    ProductId product_id, CategoryId category,
                                    const ProductAttributes& attributes,
-                                   std::string_view detail_url) {
+                                   std::string_view detail_url,
+                                   FeatureView raw) {
+  assert(raw.size() == (raw_ ? dim() : 0));
   const LocalId local = AppendMetadata(image_url, product_id, category,
                                        attributes, detail_url);
-  // Row pointer resolved later by AttachFrozenList.
-  local_row_.push_back(nullptr);
+  if (raw_) raw_->Append(raw);
   valid_.Set(local, true);
   return local;
+}
+
+void IvfIndex::RestoreList(std::size_t list, const LocalId* ids,
+                           const float* norms, const std::uint8_t* payload,
+                           std::size_t count) {
+  assert(list < blocks_.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    assert(ids[i] < forward_.size());
+    blocks_[list]->Append(ids[i], payload + i * row_bytes(), norms[i]);
+  }
 }
 
 void IvfIndex::AttachFrozenList(std::size_t list, const LocalId* ids,
@@ -175,35 +177,8 @@ void IvfIndex::AttachFrozenList(std::size_t list, const LocalId* ids,
   auto owned_norms = AllocateAligned<float>(count);
   std::memcpy(owned_ids.get(), ids, count * sizeof(LocalId));
   std::memcpy(owned_norms.get(), norms, count * sizeof(float));
-  const std::size_t row_bytes = blocks_[list]->payload_stride_bytes();
-  for (std::size_t i = 0; i < count; ++i) {
-    assert(ids[i] < local_row_.size());
-    local_row_[ids[i]] = payload + i * row_bytes;
-  }
   blocks_[list]->AttachFrozen(std::move(owned_ids), std::move(owned_norms),
                               payload, count);
-}
-
-LocalId IvfIndex::AddEncoded(std::string_view image_url,
-                             ProductId product_id, CategoryId category,
-                             const ProductAttributes& attributes,
-                             std::string_view detail_url, const PqCode& code,
-                             std::uint32_t list, FeatureView raw_or_empty) {
-  assert(pq_ != nullptr && list < blocks_.size());
-  assert(code.size() == pq_->code_bytes());
-  const LocalId local = AppendMetadata(image_url, product_id, category,
-                                       attributes, detail_url);
-  AppendRow(list, local, code.data(), 0.0f);
-  if (raw_) {
-    if (raw_or_empty.empty()) {
-      const FeatureVector decoded = pq_->Decode(code);
-      raw_->Append(decoded);
-    } else {
-      raw_->Append(raw_or_empty);
-    }
-  }
-  valid_.Set(local, true);
-  return local;
 }
 
 void IvfIndex::ForEachScanRun(
@@ -719,13 +694,12 @@ std::vector<SearchHit> IvfIndex::ExhaustiveScan(
 }
 
 void IvfIndex::ForEachEntry(
-    const std::function<void(LocalId, const AttributeSnapshot&,
-                             const std::uint8_t*, FeatureView, bool)>& visit)
-    const {
+    const std::function<void(LocalId, const AttributeSnapshot&, FeatureView,
+                             bool)>& visit) const {
   const std::size_t n = forward_.size();
   for (std::size_t local = 0; local < n; ++local) {
     const auto id = static_cast<LocalId>(local);
-    visit(id, forward_.Get(id), local_row_[local],
+    visit(id, forward_.Get(id),
           raw_ != nullptr ? raw_->At(local) : FeatureView(), valid_.Get(local));
   }
 }
@@ -748,7 +722,7 @@ IvfIndexStats IvfIndex::Stats() const {
     stats.code_memory_bytes += block->memory_bytes();
   }
   stats.buffer_bytes = forward_.buffer_bytes_used();
-  stats.code_bytes_per_vector = blocks_.front()->payload_stride_bytes();
+  stats.code_bytes_per_vector = row_bytes();
   stats.raw_memory_bytes = raw_ ? raw_->size() * dim() * sizeof(float) : 0;
   return stats;
 }

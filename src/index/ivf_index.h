@@ -237,16 +237,14 @@ class IvfIndex {
   std::vector<SearchHit> SearchExhaustive(FeatureView query, std::size_t k,
                                           const FilterExpression& filter) const;
 
-  // Visits every entry in local-id order with its attributes, its list row
-  // (padded_dim() floats, or the code_bytes() PQ code), the raw feature of
-  // the PQ rerank store (empty without one) and validity — the iteration
-  // snapshotting and replication tooling builds on. Safe concurrently with
-  // searches; must not race the writer (the per-local row pointers are
-  // writer-owned state).
+  // Visits every entry in local-id order with its attributes, the raw
+  // feature of the PQ rerank store (empty without one) and validity — the
+  // iteration snapshotting and replication tooling builds on. Safe
+  // concurrently with searches; must not race the writer (mid-append, the
+  // rerank store trails the forward index).
   void ForEachEntry(
       const std::function<void(LocalId, const AttributeSnapshot&,
-                               const std::uint8_t* row, FeatureView raw,
-                               bool valid)>& visit) const;
+                               FeatureView raw, bool valid)>& visit) const;
 
   IvfIndexStats Stats() const;
   std::size_t size() const { return forward_.size(); }
@@ -254,9 +252,16 @@ class IvfIndex {
   // Flat codec's per-row scan stride in floats (dim rounded up to whole
   // cache lines).
   std::size_t padded_dim() const noexcept { return padded_dim_; }
+  // Bytes per list row in scan storage: padded_dim() floats (flat) or the
+  // code_bytes() PQ code.
+  std::size_t row_bytes() const noexcept {
+    return pq_ == nullptr ? padded_dim_ * sizeof(float) : pq_->code_bytes();
+  }
   const CoarseQuantizer& quantizer() const { return *quantizer_; }
   // The PQ codec's quantizer; null for a flat-coded index.
   const ProductQuantizer* pq() const noexcept { return pq_.get(); }
+  // True when the index keeps every raw feature (the PQ rerank store).
+  bool keeps_raw() const noexcept { return raw_ != nullptr; }
   const IvfIndexConfig& config() const { return config_; }
   // The attribute filter index this partition maintains alongside the
   // forward index (read-only: snapshot verification and tests).
@@ -270,34 +275,32 @@ class IvfIndex {
   // ---- Restore hooks: writer-only, load-time ----
 
   // Appends an entry's metadata only — forward index, attribute filters,
-  // validity, lookup maps — without touching the inverted lists; the row
-  // arrives later through AttachFrozenList. The restore-path twin of
-  // AddImage for the tiered mapped loader.
+  // validity, lookup maps, and `raw` into the PQ rerank store when the
+  // index keeps one (empty otherwise) — without touching the inverted
+  // lists; the row arrives later through RestoreList or AttachFrozenList.
+  // The snapshot loaders' twin of AddImage.
   LocalId AddImageMetadata(std::string_view image_url, ProductId product_id,
                            CategoryId category,
                            const ProductAttributes& attributes,
-                           std::string_view detail_url);
+                           std::string_view detail_url, FeatureView raw);
+
+  // Appends `count` stored entries to list `list` in order: their ids,
+  // norms and rows (row_bytes() each at `payload`, copied into heap scan
+  // storage), so the list is rebuilt exactly as it was written. Must follow
+  // the AddImageMetadata calls that defined the ids. The heap loader's
+  // counterpart of AttachFrozenList.
+  void RestoreList(std::size_t list, const LocalId* ids, const float* norms,
+                   const std::uint8_t* payload, std::size_t count);
 
   // Installs list `list`'s frozen scan storage: `count` entries whose ids
   // and norms the index copies into heap arrays (the RAM-resident "head")
   // and whose payload rows stay at `payload` — 64-byte aligned, one
-  // row per entry, typically inside an mmap'd tiered snapshot, valid for the
-  // index's lifetime. Resolves the per-local row pointers. Must follow the
-  // AddImageMetadata calls that defined the ids; each list may be attached
-  // once, before any AddImage.
+  // row per entry, typically inside an mmap'd snapshot, valid for the
+  // index's lifetime. Must follow the AddImageMetadata calls that defined
+  // the ids; each list may be attached once, before any AddImage.
   void AttachFrozenList(std::size_t list, const LocalId* ids,
                         const float* norms, const std::uint8_t* payload,
                         std::size_t count);
-
-  // PQ codec: inserts a pre-encoded entry into list `list` (the PQ snapshot
-  // restore path). Code and list are trusted as-is, so a restored index
-  // reproduces the original structure exactly. `raw_or_empty` feeds the
-  // rerank store when there is one; when empty, the decoded approximation
-  // is stored instead.
-  LocalId AddEncoded(std::string_view image_url, ProductId product_id,
-                     CategoryId category, const ProductAttributes& attributes,
-                     std::string_view detail_url, const PqCode& code,
-                     std::uint32_t list, FeatureView raw_or_empty);
 
   // Attaches the residency cache; searches pin their probe sets through it
   // from then on. The store must own the mapping AttachFrozenList's payload
@@ -314,7 +317,7 @@ class IvfIndex {
     return tiered_store_;
   }
 
-  // Per-list scan storage introspection (tiered snapshot writer).
+  // Per-list scan storage introspection (snapshot writer).
   std::size_t num_lists() const noexcept { return blocks_.size(); }
   std::size_t ListEntryCount(std::size_t list) const {
     return blocks_[list]->size();
@@ -365,15 +368,12 @@ class IvfIndex {
   double EstimateFilterSelectivity(const FilterExpression& filter,
                                    CategoryId category_filter) const;
 
-  // Shared metadata append of AddImage / AddImageMetadata / AddEncoded:
-  // forward index, attribute filters and the writer's lookup maps.
+  // Shared metadata append of AddImage / AddImageMetadata: forward index,
+  // attribute filters and the writer's lookup maps.
   LocalId AppendMetadata(std::string_view image_url, ProductId product_id,
                          CategoryId category,
                          const ProductAttributes& attributes,
                          std::string_view detail_url);
-  // Appends `local`'s row to list `list` and records where it landed.
-  void AppendRow(std::uint32_t list, LocalId local, const void* payload,
-                 float norm);
 
   // ---- The codec-specific steps ----
 
@@ -438,9 +438,6 @@ class IvfIndex {
   // Writer-owned scratch row for padding incoming features (flat codec).
   AlignedArray<float> pad_scratch_;
   // Writer-owned lookup state (never touched by Search).
-  // local id -> its row inside a ScanBlock (pointers are stable: chunks
-  // never move once allocated).
-  std::vector<const std::uint8_t*> local_row_;
   std::unordered_map<std::string, LocalId> url_to_local_;
   std::unordered_map<ProductId, std::vector<LocalId>> product_to_locals_;
   // Residency cache for disk-backed frozen lists (null = fully RAM-resident;

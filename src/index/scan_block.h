@@ -56,7 +56,7 @@ class ScanBlock {
   // Installs a frozen prefix (single writer, block must be empty): chunk 0
   // becomes `count` entries whose ids/aux the block owns but whose payload
   // is a non-owning pointer — in the tiered index it points into the mmap'd
-  // v4 snapshot, so the rows are demand-paged and never copied. The frozen
+  // snapshot, so the rows are demand-paged and never copied. The frozen
   // chunk is immutable (MutablePayloadAt on it is a contract violation);
   // subsequent Appends allocate heap chunks exactly as before, which is what
   // makes the real-time delta RAM-resident and mutable on top of a

@@ -59,7 +59,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "pq/codebook.h"
-#include "pq/pq_snapshot.h"
 #include "qos/admission.h"
 #include "qos/deadline.h"
 #include "qos/load_controller.h"
@@ -75,7 +74,6 @@
 #include "store/feature_db.h"
 #include "store/image_store.h"
 #include "tier/mmap_file.h"
-#include "tier/tiered_snapshot.h"
 #include "tier/tiered_store.h"
 #include "vecmath/distance.h"
 #include "vecmath/topk.h"

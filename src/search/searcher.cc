@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "index/snapshot.h"
-#include "tier/tiered_snapshot.h"
 #include "vecmath/kernels.h"
 
 namespace jdvs {
@@ -112,15 +111,6 @@ void Searcher::InstallFromSnapshot(const std::string& path) {
   std::uint64_t hwm = 0;
   auto index = LoadIndexSnapshot(path, &hwm);
   InstallIndex(std::move(index), hwm);
-}
-
-void Searcher::SaveTieredSnapshot(const std::string& path) const {
-  std::lock_guard lock(writer_mu_);  // consistent point-in-time image
-  const std::shared_ptr<IvfIndex> index =
-      index_.load(std::memory_order_acquire);
-  if (!index) throw std::runtime_error(node_.name() + ": no index to save");
-  jdvs::SaveTieredSnapshot(*index, path,
-                           applied_sequence_.load(std::memory_order_relaxed));
 }
 
 void Searcher::InstallFromTieredSnapshot(const std::string& path,

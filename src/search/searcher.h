@@ -86,25 +86,24 @@ class Searcher {
   bool HasIndex() const { return index_.load(std::memory_order_acquire) != nullptr; }
 
   // Persists the current index to a snapshot file (the weekly full-index
-  // distribution artifact), stamping this searcher's update high-water mark
-  // into the header. Serializes against writers so the snapshot plus mark
-  // are a consistent point-in-time image.
+  // distribution artifact; index/snapshot.h), stamping this searcher's
+  // update high-water mark into the header. Serializes against writers so
+  // the snapshot plus mark are a consistent point-in-time image. Either
+  // install below can serve the file.
   void SaveIndexSnapshot(const std::string& path) const;
 
-  // Loads a snapshot and installs it as the current index (how a searcher
-  // receives a freshly distributed full index without rebuilding locally).
-  // Adopts the snapshot's high-water mark, so a subsequent CatchUpFromLog
-  // replays exactly the missing suffix.
+  // Loads a snapshot to heap and installs it as the current index (how a
+  // searcher receives a freshly distributed full index without rebuilding
+  // locally). Adopts the snapshot's high-water mark, so a subsequent
+  // CatchUpFromLog replays exactly the missing suffix.
   void InstallFromSnapshot(const std::string& path);
 
-  // Tiered twins of the save/install pair. SaveTieredSnapshot writes the
-  // current index in the v4/v5 mmap layout (checksummed directory);
-  // InstallFromTieredSnapshot maps `path` and serves the partition through a
-  // TieredListStore sized to `resident_budget_bytes`, wiring in this
-  // searcher's registry and (when configured) fault injector. The mapping
-  // holds a shared flock on `path` for the index's lifetime, so the file
-  // must stay put until the next install swaps it out.
-  void SaveTieredSnapshot(const std::string& path) const;
+  // Tiered twin of InstallFromSnapshot: maps `path` and serves the
+  // partition through a TieredListStore sized to `resident_budget_bytes`,
+  // wiring in this searcher's registry and (when configured) fault
+  // injector. The mapping holds a shared flock on `path` for the index's
+  // lifetime, so the file must stay put until the next install swaps it
+  // out.
   void InstallFromTieredSnapshot(const std::string& path,
                                  std::size_t resident_budget_bytes);
 

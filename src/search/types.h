@@ -36,7 +36,7 @@ struct QueryOptions {
   // must satisfy this conjunction of category-tag and numeric-range
   // predicates, enforced by bitmap pushdown inside the searcher scan. Empty
   // = unfiltered. Conjoined with category_filter when both are set.
-  FilterExpression filter;
+  FilterExpression filter{};
 
   // Latency budget (QoS): the blender stamps budget -> absolute deadline at
   // admission and every tier below fails fast once it expires. kNoBudget

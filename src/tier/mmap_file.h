@@ -1,6 +1,6 @@
 // Read-only memory-mapped file with advisory residency control.
 //
-// The v4 tiered snapshot is scanned in place: posting-list payload segments
+// A mapped index snapshot is scanned in place: posting-list payload segments
 // are 64-byte-aligned in the file, the file is mapped once, and the SIMD
 // scan kernels read rows straight out of the mapping — the kernel's page
 // cache is the storage tier. MmapFile is the RAII wrapper the tier layer

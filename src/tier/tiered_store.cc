@@ -468,7 +468,7 @@ void TieredListStore::RenderStatus(std::ostream& os) const {
      << s.budget_bytes << "\n  hits: " << s.hits << "  misses: " << s.misses
      << "  hit rate: " << hit_rate << "\n  evictions: " << s.evictions
      << "  probes dropped (io budget): " << s.probes_dropped
-     << "\n  integrity: " << (s.has_checksums ? "crc32c" : "none (v4)")
+     << "\n  integrity: " << (s.has_checksums ? "crc32c" : "none")
      << "  quarantined: " << s.quarantined_lists << " ("
      << s.quarantine_events << " events, " << s.quarantine_skips
      << " probes skipped, " << s.io_errors << " io errors)\n";

@@ -1,4 +1,4 @@
-// Hot-list residency cache over an mmap'd v4 snapshot.
+// Hot-list residency cache over an mmap'd index snapshot (index/snapshot.h).
 //
 // The tiered index keeps the "head" in RAM — coarse quantizer, per-list
 // directory, LocalId/norm arrays, PQ codebooks, attribute filter index —
@@ -25,10 +25,10 @@
 // string of cold reads. At least one list is always served so a fully cold
 // query still returns results.
 //
-// Integrity: storage is treated as an adversary. When the snapshot carries
-// per-list CRC32C checksums (v5 directory), a list is verified on its first
-// fault-in after load or after re-residency — the page touch that faults the
-// data in doubles as the checksum walk, so a warmed hot path pays nothing.
+// Integrity: storage is treated as an adversary. The snapshot directory
+// carries a CRC32C per list, and a list is verified on its first fault-in
+// after load or after re-residency — the page touch that faults the data in
+// doubles as the checksum walk, so a warmed hot path pays nothing.
 // The touch+verify runs under a scoped SIGBUS guard: an I/O error or a file
 // truncated behind the mapping surfaces as a typed TieredIoError for that
 // probe instead of process death. A list that fails its checksum or faults
@@ -129,7 +129,7 @@ class TieredListStore {
   enum class ScrubStatus {
     kOk,                  // checksum verified
     kEmpty,               // empty segment, nothing to verify
-    kNoChecksum,          // snapshot has no checksums (v4)
+    kNoChecksum,          // store built without checksums
     kAlreadyQuarantined,  // previously poisoned, left alone
     kIoError,             // read failed → quarantined
     kCorrupt,             // checksum mismatch → quarantined
@@ -137,8 +137,8 @@ class TieredListStore {
 
   // Takes ownership of the mapping. `extents[i]` is list i's payload
   // segment; empty lists use bytes == 0. `checksums` (may be empty = no
-  // integrity data, v4 snapshots) is the per-list CRC32C over the exact
-  // payload bytes of each segment.
+  // integrity data) is the per-list CRC32C over the exact payload bytes of
+  // each segment.
   TieredListStore(MmapFile file, std::vector<ListExtent> extents,
                   std::vector<std::uint32_t> checksums,
                   const TieredStoreConfig& config);
@@ -246,7 +246,7 @@ class TieredListStore {
   const TieredStoreConfig config_;
   const Clock* clock_;
   std::size_t payload_bytes_ = 0;
-  std::vector<std::uint32_t> checksums_;  // empty = no integrity data (v4)
+  std::vector<std::uint32_t> checksums_;  // empty = no integrity data
 
   mutable std::mutex mu_;
   std::condition_variable fault_cv_;

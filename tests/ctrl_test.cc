@@ -87,7 +87,9 @@ TEST(FailureDetectorTest, MarksDownAndReinstatesOnAck) {
   const std::size_t slot = table.Register(node.name());
 
   ctrl::FailureDetectorConfig fc;
-  fc.heartbeat_period_micros = 1'000;
+  // 10 ms rounds: at 1 ms, scheduling jitter that delays two probes past
+  // their round marked the healthy node DOWN before the UP check below.
+  fc.heartbeat_period_micros = 10'000;
   fc.suspect_after_misses = 1;
   fc.down_after_misses = 2;
   fc.reinstate_on_ack = true;  // operator-revive mode

@@ -813,6 +813,66 @@ TEST_P(PqSearcherTest, ServesPqCodedPartition) {
   }
 }
 
+// A PQ partition served from a mapped snapshot: one searcher saves it, a
+// second installs it tiered — PQ codes scanned in place from the file under
+// a 1-byte residency budget — and answers like the index that wrote it,
+// then keeps taking real-time updates past the file's high-water mark.
+TEST_P(PqSearcherTest, ServesPqPartitionFromMappedSnapshot) {
+  Searcher::Config config;
+  config.threads = 4;
+  config.max_batch_queries = GetParam();
+  config.batch_window_micros = 500;
+  Searcher source("s-pq-source", config, features, AcceptAllPartitionFilter());
+  std::unique_ptr<IvfIndex> owned = BuildPqIndex();
+  const IvfIndex& index = *owned;
+  source.InstallIndex(std::move(owned), /*update_hwm=*/17);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("jdvs_pq_mapped_" + std::to_string(::getpid()) + "_" +
+        std::to_string(GetParam()) + ".snap"))
+          .string();
+  source.SaveIndexSnapshot(path);
+  {
+    Searcher mapped("s-pq-mapped", config, features,
+                    AcceptAllPartitionFilter());
+    mapped.InstallFromTieredSnapshot(path, /*resident_budget_bytes=*/1);
+    EXPECT_EQ(mapped.applied_sequence(), 17u);
+
+    std::vector<FeatureVector> queries;
+    for (ProductId pid = 1; pid <= 24; ++pid) {
+      queries.push_back(Query(pid, pid));
+    }
+    std::vector<std::future<std::vector<SearchHit>>> futures;
+    for (const FeatureVector& q : queries) {
+      futures.push_back(mapped.SearchAsync(q, /*k=*/5));
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameHitList(futures[i].get(), index.Search(queries[i], 5));
+    }
+
+    constexpr ProductId kFresh = 500;
+    const CategoryId fresh_category = kFresh % kCategories;
+    ProductUpdateMessage add;
+    add.type = UpdateType::kAddProduct;
+    add.product_id = kFresh;
+    add.category_id = fresh_category;
+    add.attributes = {.sales = 7, .price_cents = 300, .praise = 2};
+    add.image_urls = {MakeImageUrl(kFresh, 0), MakeImageUrl(kFresh, 1)};
+    add.sequence = 18;
+    ASSERT_TRUE(mapped.ApplyUpdate(add));
+    EXPECT_EQ(mapped.applied_sequence(), 18u);
+    const auto hits =
+        mapped
+            .SearchAsync(embedder.ExtractQuery(kFresh, fresh_category,
+                                               /*seed=*/3),
+                         3)
+            .get();
+    ASSERT_FALSE(hits.empty());
+    EXPECT_EQ(hits[0].product_id, kFresh);
+  }
+  std::filesystem::remove(path);
+}
+
 INSTANTIATE_TEST_SUITE_P(BatchLimits, PqSearcherTest,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 

@@ -6,11 +6,10 @@
 #include <fstream>
 #include <thread>
 
+#include "index/digest.h"
 #include "index/full_index_builder.h"
 #include "index/snapshot.h"
-#include "pq/pq_snapshot.h"
 #include "search/searcher.h"
-#include "tier/tiered_snapshot.h"
 #include "workload/catalog_gen.h"
 
 namespace jdvs {
@@ -89,7 +88,7 @@ TEST_F(SnapshotTest, RoundTripPreservesConfig) {
   EXPECT_EQ(loaded->dim(), built.index->dim());
 }
 
-// Snapshot v3 persists the attribute filter state (category bitmaps +
+// The snapshot persists the attribute filter state (category bitmaps +
 // numeric columns): a loaded index answers hybrid filtered queries
 // identically, and the filter knobs survive the config round trip.
 TEST_F(SnapshotTest, RoundTripPreservesFilteredSearch) {
@@ -226,10 +225,18 @@ TEST_F(SnapshotTest, EmptyIndexRoundTrips) {
   EXPECT_EQ(loaded->size(), 0u);
 }
 
-// ---- IVF-PQ snapshots ----
+// ---- PQ-coded snapshots: the same format and loaders as the flat codec ----
+
+IvfIndexConfig PqConfig(bool keep_raw) {
+  IvfIndexConfig config;
+  config.nprobe = 8;
+  config.rerank_candidates = keep_raw ? 20 : 0;
+  return config;
+}
 
 struct PqBuilt {
-  PqBuilt(bool keep_raw = false) {
+  explicit PqBuilt(bool keep_raw = false) : PqBuilt(PqConfig(keep_raw)) {}
+  explicit PqBuilt(const IvfIndexConfig& config) {
     std::vector<FeatureVector> training;
     for (ProductId pid = 1; pid <= 100; ++pid) {
       training.push_back(embedder.Extract(
@@ -244,9 +251,6 @@ struct PqBuilt {
     pc.codebook_size = 32;
     auto pq = std::make_shared<ProductQuantizer>(
         ProductQuantizer::Train(training, pc));
-    IvfIndexConfig config;
-    config.nprobe = 8;
-    config.rerank_candidates = keep_raw ? 20 : 0;
     index = std::make_unique<IvfIndex>(quantizer, pq, config);
     const ProductAttributes attrs{.sales = 4, .price_cents = 99, .praise = 2};
     for (ProductId pid = 1; pid <= 60; ++pid) {
@@ -266,8 +270,8 @@ struct PqBuilt {
 TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
   PqBuilt built;
   const std::string path = PathFor("pq.snap");
-  SaveIvfPqSnapshot(*built.index, path);
-  const auto loaded = LoadIvfPqSnapshot(path);
+  SaveIndexSnapshot(*built.index, path);
+  const auto loaded = LoadIndexSnapshot(path);
   ASSERT_EQ(loaded->size(), built.index->size());
   EXPECT_EQ(loaded->Stats().valid_images, built.index->Stats().valid_images);
   for (ProductId pid = 1; pid <= 30; ++pid) {
@@ -286,8 +290,8 @@ TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
 TEST_F(SnapshotTest, PqRoundTripWithRefinementStore) {
   PqBuilt built(/*keep_raw=*/true);
   const std::string path = PathFor("pq_raw.snap");
-  SaveIvfPqSnapshot(*built.index, path);
-  const auto loaded = LoadIvfPqSnapshot(path);
+  SaveIndexSnapshot(*built.index, path);
+  const auto loaded = LoadIndexSnapshot(path);
   EXPECT_GT(loaded->Stats().raw_memory_bytes, 0u);
   for (ProductId pid = 1; pid <= 20; ++pid) {
     const auto query = built.embedder.ExtractQuery(
@@ -305,60 +309,156 @@ TEST_F(SnapshotTest, PqRoundTripWithRefinementStore) {
 TEST_F(SnapshotTest, PqBadMagicThrows) {
   const std::string path = PathFor("pq_garbage.snap");
   std::ofstream(path, std::ios::binary) << "junk junk junk junk";
-  EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
 TEST_F(SnapshotTest, PqTruncatedThrows) {
   PqBuilt built;
   const std::string path = PathFor("pq.snap");
-  SaveIvfPqSnapshot(*built.index, path);
+  SaveIndexSnapshot(*built.index, path);
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
-// An entry naming an inverted list the quantizer does not have is refused,
-// not appended out of bounds.
-TEST_F(SnapshotTest, PqOutOfRangeListThrows) {
+// A list naming a local id past the entry section, or one another list
+// slot already names, is refused by both loaders rather than attached.
+TEST_F(SnapshotTest, OutOfRangeLocalIdThrows) {
   PqBuilt built;
+  const IvfIndex& index = *built.index;
+  ASSERT_FALSE(index.keeps_raw());
   const std::string path = PathFor("pq.snap");
-  SaveIvfPqSnapshot(*built.index, path);
-  // Offset of the first entry's list field: header, config block, coarse
-  // centroids, PQ shape + codebooks, entry count, then the first entry's
-  // url, product, category, three attributes and (empty) detail url.
-  const std::size_t dim = built.index->dim();
-  const ProductQuantizer& pq = *built.index->pq();
-  const std::string first_url = MakeImageUrl(1, 0);
-  const std::size_t offset =
-      8 + 4 + 8 + 8 + 8 + 1 + 8 + 8 +
-      built.index->quantizer().num_clusters() * dim * sizeof(float) + 8 + 8 +
-      pq.codebooks().size() * sizeof(float) + 8 + 4 + first_url.size() + 8 +
-      4 + 3 * 8 + 4;
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(offset - 4 - 3 * 8 - 4 - 8 -
-                                        first_url.size()));
-    std::string url(first_url.size(), '\0');
-    f.read(url.data(), static_cast<std::streamsize>(url.size()));
-    ASSERT_EQ(url, first_url);  // the offset arithmetic lands on entry 0
-    const std::uint32_t bad_list = 1000;
-    f.seekp(static_cast<std::streamoff>(offset));
-    f.write(reinterpret_cast<const char*>(&bad_list), sizeof(bad_list));
+  SaveIndexSnapshot(index, path);
+  // Offset of the stored id arrays: prefix, config block, coarse centroids,
+  // PQ shape + codebooks, row stride, the entry section, the raw-feature
+  // flag, then the directory. Ids and norms (4 bytes each) follow list by
+  // list; the test patches the second id of the first list holding two.
+  std::size_t offset = 8 + 4 + 8 + 8 + (8 + 1 + 8 + 8 + 8 + 8) + 8 + 8 +
+                       index.quantizer().num_clusters() * index.dim() *
+                           sizeof(float) +
+                       8 + 8 + index.pq()->codebooks().size() * sizeof(float) +
+                       8 + 8;
+  index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
+                         FeatureView, bool) {
+    offset += 4 + snapshot.image_url.size() + 8 + 4 + 3 * 8 + 4 +
+              snapshot.detail_url.size() + 1;
+  });
+  offset += 1 + 8 + index.num_lists() * (8 + 8 + 8 + 4);
+  std::size_t list = 0;
+  while (index.ListEntryCount(list) < 2) {
+    offset += index.ListEntryCount(list) * (sizeof(LocalId) + 4);
+    ASSERT_LT(++list, index.num_lists());
   }
-  EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+  std::vector<LocalId> want;  // the list's ids, in stored order
+  index.ForEachScanRun(list, [&](const LocalId* ids, const std::uint8_t*,
+                                 const float*, std::size_t count) {
+    want.insert(want.end(), ids, ids + count);
+  });
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    LocalId stored[2] = {};
+    f.read(reinterpret_cast<char*>(stored), sizeof(stored));
+    ASSERT_EQ(stored[0], want[0]);  // the offset arithmetic lands on them
+    ASSERT_EQ(stored[1], want[1]);
+  }
+  const std::string bad = PathFor("bad.snap");
+  for (const LocalId bad_id :
+       {static_cast<LocalId>(index.size() + 1000), want[0]}) {
+    SCOPED_TRACE(bad_id);
+    std::filesystem::copy_file(
+        path, bad, std::filesystem::copy_options::overwrite_existing);
+    {
+      std::fstream f(bad, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(static_cast<std::streamoff>(offset + sizeof(LocalId)));
+      f.write(reinterpret_cast<const char*>(&bad_id), sizeof(bad_id));
+    }
+    EXPECT_THROW(LoadIndexSnapshot(bad), SnapshotError);
+    EXPECT_THROW(LoadTieredSnapshot(bad, TieredStoreConfig{}), SnapshotError);
+  }
 }
 
-// Each writer takes one list codec and refuses the other, rather than
-// writing a file its loader would misread.
-TEST_F(SnapshotTest, WritersRefuseTheOtherCodec) {
-  PqBuilt pq_built;
-  EXPECT_THROW(SaveIndexSnapshot(*pq_built.index, PathFor("flat.snap")),
-               SnapshotError);
-  EXPECT_THROW(SaveTieredSnapshot(*pq_built.index, PathFor("tiered.snap")),
-               SnapshotError);
-  Built flat_built;
-  EXPECT_THROW(SaveIvfPqSnapshot(*flat_built.index, PathFor("pq.snap")),
-               SnapshotError);
+// One config block and one header serve both codecs: a PQ round trip keeps
+// every knob, including the four filter knobs, and the update high-water
+// mark, through either loader.
+TEST_F(SnapshotTest, PqRoundTripPreservesConfigAndHighWaterMark) {
+  IvfIndexConfig config = PqConfig(/*keep_raw=*/true);
+  config.nprobe = 5;
+  config.filter_invalid_during_scan = false;
+  config.filter_post_threshold = 0.75;
+  config.filter_widen_threshold = 0.02;
+  config.filter_widen_factor = 3;
+  PqBuilt built(config);
+  const std::string path = PathFor("pq_config.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/42);
+
+  std::uint64_t heap_hwm = 0;
+  std::uint64_t mapped_hwm = 0;
+  const auto heap = LoadIndexSnapshot(path, &heap_hwm);
+  const auto mapped =
+      LoadTieredSnapshot(path, TieredStoreConfig{}, &mapped_hwm);
+  EXPECT_EQ(heap_hwm, 42u);
+  EXPECT_EQ(mapped_hwm, 42u);
+  for (const IvfIndex* loaded : {heap.get(), mapped.get()}) {
+    ASSERT_NE(loaded->pq(), nullptr);
+    const IvfIndexConfig& got = loaded->config();
+    EXPECT_EQ(got.nprobe, 5u);
+    EXPECT_FALSE(got.filter_invalid_during_scan);
+    EXPECT_EQ(got.filter_post_threshold, 0.75);
+    EXPECT_EQ(got.filter_widen_threshold, 0.02);
+    EXPECT_EQ(got.filter_widen_factor, 3u);
+    EXPECT_EQ(got.rerank_candidates, 20u);
+    EXPECT_TRUE(loaded->keeps_raw());
+  }
+}
+
+// PQ codes served in place from a mapped file: with a 1-byte residency
+// budget every probe after the first refaults its list, and answers still
+// equal the original index's, with and without the rerank store.
+TEST_F(SnapshotTest, PqMappedLoadIsBitExact) {
+  for (const bool keep_raw : {false, true}) {
+    SCOPED_TRACE(keep_raw ? "with rerank store" : "codes only");
+    PqBuilt built(keep_raw);
+    const std::string path = PathFor(keep_raw ? "pq_raw.snap" : "pq.snap");
+    SaveIndexSnapshot(*built.index, path, /*update_hwm=*/7);
+
+    TieredStoreConfig tier;
+    tier.resident_bytes_budget = 1;
+    const auto mapped = LoadTieredSnapshot(path, tier);
+    ASSERT_NE(mapped->tiered_store(), nullptr);
+    ASSERT_NE(mapped->pq(), nullptr);
+    EXPECT_EQ(mapped->keeps_raw(), keep_raw);
+
+    FilterExpression filter;
+    filter.WithCategoryRange(0, 3);
+    for (ProductId pid = 1; pid <= 30; ++pid) {
+      const auto query = built.embedder.ExtractQuery(
+          pid, static_cast<CategoryId>(pid % 8), pid);
+      const auto original = built.index->Search(query, 5);
+      const auto restored = mapped->Search(query, 5);
+      ASSERT_EQ(original.size(), restored.size()) << "pid " << pid;
+      for (std::size_t i = 0; i < original.size(); ++i) {
+        EXPECT_EQ(original[i].image_id, restored[i].image_id);
+        EXPECT_EQ(original[i].distance, restored[i].distance);
+      }
+      const auto want =
+          built.index->Search(query, 5, 8, kNoCategoryFilter, filter);
+      const auto got = mapped->Search(query, 5, 8, kNoCategoryFilter, filter);
+      ASSERT_EQ(want.size(), got.size()) << "filtered pid " << pid;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].image_id, got[i].image_id);
+        EXPECT_EQ(want[i].distance, got[i].distance);
+      }
+    }
+    EXPECT_GT(mapped->tiered_store()->Stats().misses, 0u);
+
+    const auto heap = LoadIndexSnapshot(path);
+    const IndexDigest heap_digest = ComputeIndexDigest(*heap);
+    const IndexDigest mapped_digest = ComputeIndexDigest(*mapped);
+    EXPECT_EQ(heap_digest.content_hash, mapped_digest.content_hash);
+    EXPECT_EQ(heap_digest.entries, mapped_digest.entries);
+    EXPECT_EQ(heap_digest.valid_entries, mapped_digest.valid_entries);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the tiered memory/disk subsystem: v4/v5 snapshot round trips,
+// Tests for the tiered memory/disk subsystem: mapped snapshot round trips,
 // mapped-vs-heap bit-exactness, corruption rejection, the hot-list
 // residency cache (hits/misses, clock eviction, pin-wins, io budget), and
 // the integrity layer (checksums, quarantine, SIGBUS survival, scrub).
@@ -16,7 +16,6 @@
 #include "index/snapshot.h"
 #include "net/fault_injector.h"
 #include "tier/scrubber.h"
-#include "tier/tiered_snapshot.h"
 #include "tier/tiered_store.h"
 #include "workload/catalog_gen.h"
 
@@ -86,14 +85,14 @@ class SteppingClock final : public Clock {
 };
 
 // ---------------------------------------------------------------------------
-// v4 snapshot: round trips, bit-exactness, version ladder, corruption.
+// Mapped snapshots: round trips, bit-exactness, version check, corruption.
 // ---------------------------------------------------------------------------
 
 TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
   Built built;
   built.index->SetProductValidity(5, false);
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path, /*update_hwm=*/17);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/17);
 
   std::uint64_t hwm = 0;
   const auto mapped =
@@ -128,11 +127,11 @@ TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
 
 TEST_F(TierTest, HeapLoadDispatchesV4AndMatchesMapped) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path, /*update_hwm=*/9);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/9);
 
-  // The generic loader must recognize version 4 and produce the same index
-  // (it copies everything to heap; no tier store attached).
+  // The heap loader must produce the same index from the same file (it
+  // copies everything to heap; no tier store attached).
   std::uint64_t hwm = 0;
   const auto heap = LoadIndexSnapshot(path, &hwm);
   EXPECT_EQ(hwm, 9u);
@@ -153,28 +152,10 @@ TEST_F(TierTest, HeapLoadDispatchesV4AndMatchesMapped) {
   }
 }
 
-TEST_F(TierTest, VersionLadderStillLoads) {
-  Built built;
-  // v3 (the classic writer) and v4 (tiered) of the same index must load
-  // through LoadIndexSnapshot and agree on content.
-  const std::string v3 = PathFor("index.v3");
-  const std::string v4 = PathFor("index.v4");
-  SaveIndexSnapshot(*built.index, v3, /*update_hwm=*/3);
-  SaveTieredSnapshot(*built.index, v4, /*update_hwm=*/3);
-
-  const auto from_v3 = LoadIndexSnapshot(v3);
-  const auto from_v4 = LoadIndexSnapshot(v4);
-  EXPECT_EQ(ComputeIndexDigest(*from_v3).content_hash,
-            ComputeIndexDigest(*from_v4).content_hash);
-  EXPECT_EQ(from_v3->config().nprobe, from_v4->config().nprobe);
-  EXPECT_EQ(from_v3->attribute_filters().ColumnChecksum(),
-            from_v4->attribute_filters().ColumnChecksum());
-}
-
 TEST_F(TierTest, BudgetedServingIsBitExact) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   TieredStoreConfig config;
   const auto unlimited = LoadTieredSnapshot(path, config);
@@ -203,8 +184,8 @@ TEST_F(TierTest, BudgetedServingIsBitExact) {
 
 TEST_F(TierTest, MappedIndexAcceptsNewWrites) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
 
   const auto before = ComputeIndexDigest(*mapped);
@@ -220,8 +201,8 @@ TEST_F(TierTest, MappedIndexAcceptsNewWrites) {
 
 TEST_F(TierTest, TruncatedV4Throws) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   const auto size = std::filesystem::file_size(path);
 
   // Cut mid-payload: the directory promises extents past EOF.
@@ -240,8 +221,8 @@ TEST_F(TierTest, TruncatedV4Throws) {
 
 TEST_F(TierTest, CorruptDirectoryThrows) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   // payload_base lives at offset 20 (magic + version + hwm); forcing its low
   // byte to an odd value breaks the 64-byte alignment invariant.
@@ -255,11 +236,23 @@ TEST_F(TierTest, CorruptDirectoryThrows) {
   EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
-TEST_F(TierTest, NotAV4FileThrowsFromTieredLoader) {
+TEST_F(TierTest, OtherVersionThrowsFromBothLoaders) {
   Built built;
-  const std::string v3 = PathFor("index.v3");
-  SaveIndexSnapshot(*built.index, v3);
-  EXPECT_THROW(LoadTieredSnapshot(v3, TieredStoreConfig{}), SnapshotError);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
+  // The version field follows the 8-byte magic; both loaders read only the
+  // version the writer emits.
+  for (const std::uint32_t version : {5u, 7u}) {
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(8);
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError)
+        << "version " << version;
+    EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError)
+        << "version " << version;
+  }
   EXPECT_THROW(LoadTieredSnapshot(PathFor("missing"), TieredStoreConfig{}),
                SnapshotError);
 }
@@ -435,8 +428,8 @@ TEST_F(TierTest, ConcurrentSearchOnBudgetedMappedIndex) {
   // End-to-end race: concurrent searches on a mapped index whose store
   // evicts under a tight budget must all match the RAM-resident answers.
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   TieredStoreConfig config;
   config.resident_bytes_budget = std::max<std::size_t>(
       1, LoadTieredSnapshot(path, TieredStoreConfig{})
@@ -484,7 +477,7 @@ TEST_F(TierTest, ConcurrentSearchOnBudgetedMappedIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Integrity layer: CRC32C, checksummed v5 snapshots, quarantine, SIGBUS
+// Integrity layer: CRC32C, checksummed snapshots, quarantine, SIGBUS
 // survival, scrub, storage fault injection.
 // ---------------------------------------------------------------------------
 
@@ -509,40 +502,32 @@ TEST_F(TierTest, MmapFileTypedErrors) {
   EXPECT_THROW(MmapFile::Open(PathFor("missing")), MmapError);
 }
 
-TEST_F(TierTest, V5RoundTripCarriesChecksumsAndMatchesV4) {
+TEST_F(TierTest, RoundTripCarriesChecksums) {
   Built built;
-  const std::string v4 = PathFor("index.v4");
-  const std::string v5 = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, v4, /*update_hwm=*/3, /*version=*/4);
-  SaveTieredSnapshot(*built.index, v5, /*update_hwm=*/3);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/3);
 
-  const auto from_v4 = LoadTieredSnapshot(v4, TieredStoreConfig{});
-  const auto from_v5 = LoadTieredSnapshot(v5, TieredStoreConfig{});
-  EXPECT_FALSE(from_v4->tiered_store()->has_checksums());
-  EXPECT_TRUE(from_v5->tiered_store()->has_checksums());
-  EXPECT_EQ(ComputeIndexDigest(*from_v4).content_hash,
-            ComputeIndexDigest(*from_v5).content_hash);
+  const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
+  EXPECT_TRUE(mapped->tiered_store()->has_checksums());
 
-  // The generic (heap) loader dispatches v5 too and verifies during copy.
-  const auto heap = LoadIndexSnapshot(v5);
+  // The heap loader verifies during copy and restores the same content.
+  const auto heap = LoadIndexSnapshot(path);
   EXPECT_EQ(ComputeIndexDigest(*heap).content_hash,
-            ComputeIndexDigest(*from_v5).content_hash);
+            ComputeIndexDigest(*mapped).content_hash);
 
   // The directory reports matching metadata and the offline verify is clean.
-  const TieredDirectoryInfo dir = ReadTieredDirectory(v5);
-  EXPECT_EQ(dir.version, 5u);
-  EXPECT_TRUE(dir.has_checksums);
-  EXPECT_FALSE(ReadTieredDirectory(v4).has_checksums);
-  const TieredVerifyResult verify = VerifyTieredSnapshot(v5);
-  EXPECT_TRUE(verify.has_checksums);
+  const TieredDirectoryInfo dir = ReadTieredDirectory(path);
+  EXPECT_EQ(dir.version, 6u);
+  EXPECT_EQ(dir.segments.size(), built.index->num_lists());
+  const TieredVerifyResult verify = VerifyTieredSnapshot(path);
   EXPECT_GT(verify.checked, 0u);
   EXPECT_TRUE(verify.corrupt_lists.empty());
 }
 
 TEST_F(TierTest, FileSizeDisagreeingWithDirectoryRefusesToMap) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   // Append garbage: the size no longer matches the directory's last extent.
   {
     std::ofstream os(path, std::ios::binary | std::ios::app);
@@ -554,15 +539,15 @@ TEST_F(TierTest, FileSizeDisagreeingWithDirectoryRefusesToMap) {
 #if defined(__linux__) || defined(__APPLE__)
 TEST_F(TierTest, SaveRefusesFileMappedByLiveIndex) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   {
     // The mapped loader holds a shared flock; rewriting under it must fail.
     const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
-    EXPECT_THROW(SaveTieredSnapshot(*built.index, path), SnapshotError);
+    EXPECT_THROW(SaveIndexSnapshot(*built.index, path), SnapshotError);
   }
   // Mapping gone, lock released: the rewrite goes through.
-  SaveTieredSnapshot(*built.index, path);
+  SaveIndexSnapshot(*built.index, path);
   // And the loader refuses a file a live mapping still flocks, from the
   // other side: a concurrent second mapping is fine (shared lock).
   const auto a = LoadTieredSnapshot(path, TieredStoreConfig{});
@@ -598,8 +583,8 @@ std::map<ImageId, float> ExhaustiveDistances(const IvfIndex& index,
 
 TEST_F(TierTest, BitFlipQuarantinesAtFaultInAndQueriesDegradeCorrectly) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   const std::uint32_t victim = CorruptFirstSegment(path);
 
   const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
@@ -647,8 +632,8 @@ TEST_F(TierTest, BitFlipQuarantinesAtFaultInAndQueriesDegradeCorrectly) {
 
 TEST_F(TierTest, ScrubFindsCorruptionBeforeAnyQueryTouchesIt) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   const std::uint32_t victim = CorruptFirstSegment(path);
 
   const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
@@ -677,8 +662,8 @@ TEST_F(TierTest, ScrubFindsCorruptionBeforeAnyQueryTouchesIt) {
 #if defined(__linux__)
 TEST_F(TierTest, TruncationBehindMappingSurvivesAsQuarantine) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
   TieredListStore& store = *mapped->tiered_store_shared();
@@ -721,8 +706,8 @@ TEST_F(TierTest, TruncationBehindMappingSurvivesAsQuarantine) {
 
 TEST_F(TierTest, FailNextFaultInInjectsOneQuarantine) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   FaultInjector injector(7);
   TieredStoreConfig config;
