@@ -5,7 +5,7 @@
 // `--roofline` switches to the kernel roofline harness instead: per-kernel
 // GB/s and distances/s for every dispatch tier this CPU supports, plus the
 // end-to-end IVF scan (seed-style per-entry layout vs the contiguous padded
-// scan, solo vs batched), written to BENCH_kernel_roofline.json.
+// scan), written to BENCH_kernel_roofline.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -424,8 +424,7 @@ std::vector<Row> KernelRows(std::size_t dim, std::size_t rows_count,
 // End-to-end single-searcher IVF scan. The "seed" rows reproduce the
 // pre-refactor layout faithfully: per-entry id indirection into an unpadded
 // row array, one scalar distance call per entry, validity checked per entry.
-// The "ivf_scan" rows run the real IvfIndex under each forced tier; the
-// batch row groups queries through SearchBatch.
+// The "ivf_scan" rows run the real IvfIndex under each forced tier.
 //
 // The seed's TopK::Offer lived in topk.cc, so every candidate paid an
 // out-of-line call; today's header-inline TopK would silently erase that
@@ -580,22 +579,6 @@ IvfRows IvfScanRows() {
     });
     result.rows.push_back({"full_query/contiguous", KernelTierName(tier), 0.0,
                            kQueries / secs, 0.0});
-
-    // Batched: same queries in groups of 4 through SearchBatch (one
-    // centroid sweep per group, shared lists scanned back to back).
-    const double batch_secs = TimePerCall([&] {
-      for (std::size_t q = 0; q + 4 <= queries.size(); q += 4) {
-        std::vector<IvfBatchQuery> group(4);
-        for (std::size_t j = 0; j < 4; ++j) {
-          group[j].query =
-              FeatureView(queries[q + j].data(), queries[q + j].size());
-          group[j].k = kK;
-        }
-        benchmark::DoNotOptimize(index.SearchBatch(group));
-      }
-    });
-    result.rows.push_back({"full_query/batch4", KernelTierName(tier), 0.0,
-                           kQueries / batch_secs, 0.0});
   }
   // Headline ratio from paired windows: seed and AVX2 alternate within each
   // round, so a machine-load phase hits both arms of a ratio equally; the

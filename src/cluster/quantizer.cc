@@ -74,21 +74,4 @@ std::vector<std::uint32_t> CoarseQuantizer::NearestCentroids(
   return result;
 }
 
-std::vector<std::vector<std::uint32_t>> CoarseQuantizer::NearestCentroidsBatch(
-    std::span<const FeatureView> queries,
-    std::span<const std::size_t> nprobes) const {
-  assert(queries.size() == nprobes.size());
-  const std::size_t n = queries.size();
-  // Per-query ScoreAll, identical to the solo path — distances (and
-  // therefore probe order, including tie-breaks) match exactly, so batched
-  // and solo searches probe identical lists. The padded centroid table is
-  // one contiguous aligned block, so the sweep no longer needs the
-  // centroid-major loop order the old pointer-per-centroid layout wanted.
-  std::vector<std::vector<std::uint32_t>> result(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result[i] = NearestCentroids(queries[i], nprobes[i]);
-  }
-  return result;
-}
-
 }  // namespace jdvs

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -32,14 +31,6 @@ class CoarseQuantizer {
   // Indices of the `nprobe` nearest centroids, most similar first.
   std::vector<std::uint32_t> NearestCentroids(FeatureView v,
                                               std::size_t nprobe) const;
-
-  // Batched multi-probe assignment: result[i] is exactly
-  // NearestCentroids(queries[i], nprobes[i]), but the centroid table is
-  // walked once for the whole batch (centroid-major), so each centroid row
-  // is fetched from memory once regardless of batch size.
-  std::vector<std::vector<std::uint32_t>> NearestCentroidsBatch(
-      std::span<const FeatureView> queries,
-      std::span<const std::size_t> nprobes) const;
 
   FeatureView Centroid(std::size_t c) const {
     return FeatureView(centroids_.data() + c * dim_, dim_);

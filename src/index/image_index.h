@@ -41,9 +41,6 @@ struct FilterScanStats {
   // ever materialized (broad-filter direct post mode) — matches/blocks
   // fields are then not populated by a bitmap.
   bool estimated = false;
-  // True when this query reused a bitmap materialized by an earlier query of
-  // the same batch (identical FilterExpression::Hash()).
-  bool reused_bitmap = false;
   // Cost of materializing the filter bitmap (the "searcher_filter" stage).
   std::int64_t materialize_micros = 0;
 };

@@ -385,8 +385,7 @@ double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
 
 IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
     const FilterExpression* filter, CategoryId category_filter,
-    std::size_t nprobe_override, FilterScanStats* stats,
-    std::shared_ptr<const MaterializedFilter> reuse) const {
+    std::size_t nprobe_override, FilterScanStats* stats) const {
   const std::size_t nprobe =
       nprobe_override == 0 ? config_.nprobe : nprobe_override;
   FilterPlan plan;
@@ -396,38 +395,28 @@ IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
     stats->universe = forward_.size();
   }
   if (filter == nullptr || filter->empty()) return plan;
-  if (reuse == nullptr) {
-    // Broad filters never materialize: a sampled estimate at/above the post
-    // threshold routes the query into direct post mode, where predicates run
-    // only against the <= k kernel survivors and the per-query
-    // ~1ms/100k-entry bitmap cost disappears.
-    const double estimate = EstimateFilterSelectivity(*filter, category_filter);
-    if (estimate >= config_.filter_post_threshold) {
-      plan.post_mode = true;
-      plan.direct = filter;
-      if (stats != nullptr) {
-        stats->strategy = FilterScanStats::Strategy::kPost;
-        stats->selectivity_bp =
-            static_cast<std::uint32_t>(estimate * 10000.0);
-        stats->estimated = true;
-      }
-      return plan;
+  // Broad filters never materialize: a sampled estimate at/above the post
+  // threshold routes the query into direct post mode, where predicates run
+  // only against the <= k kernel survivors and the per-query
+  // ~1ms/100k-entry bitmap cost disappears.
+  const double estimate = EstimateFilterSelectivity(*filter, category_filter);
+  if (estimate >= config_.filter_post_threshold) {
+    plan.post_mode = true;
+    plan.direct = filter;
+    if (stats != nullptr) {
+      stats->strategy = FilterScanStats::Strategy::kPost;
+      stats->selectivity_bp = static_cast<std::uint32_t>(estimate * 10000.0);
+      stats->estimated = true;
     }
+    return plan;
   }
-  Micros materialize_micros = 0;
-  if (reuse != nullptr) {
-    // A batch sibling with an identical filter already paid for the bitmap.
-    plan.bits = std::move(reuse);
-    if (stats != nullptr) stats->reused_bitmap = true;
-  } else {
-    const Stopwatch watch(MonotonicClock::Instance());
-    // The ablation flag keeps validity out of the bitmap (deferred to
-    // materialization), matching the unfiltered scan's contract.
-    plan.bits = std::make_shared<const MaterializedFilter>(filters_.Materialize(
-        *filter, category_filter,
-        config_.filter_invalid_during_scan ? &valid_ : nullptr));
-    materialize_micros = watch.ElapsedMicros();
-  }
+  const Stopwatch watch(MonotonicClock::Instance());
+  // The ablation flag keeps validity out of the bitmap (deferred to
+  // materialization), matching the unfiltered scan's contract.
+  plan.bits = std::make_unique<const MaterializedFilter>(filters_.Materialize(
+      *filter, category_filter,
+      config_.filter_invalid_during_scan ? &valid_ : nullptr));
+  const Micros materialize_micros = watch.ElapsedMicros();
   const double selectivity = plan.bits->selectivity();
   if (plan.bits->matches == 0) {
     plan.empty_result = true;
@@ -546,100 +535,6 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
                  plan.bits != nullptr ? kNoCategoryFilter : category_filter,
                  plan.bits.get(), plan.post_mode, stats, plan.direct);
   return MaterializeRanked(ranked);
-}
-
-std::vector<std::vector<SearchHit>> IvfIndex::SearchBatch(
-    std::span<const IvfBatchQuery> queries) const {
-  const std::size_t n = queries.size();
-  std::vector<std::vector<SearchHit>> out(n);
-  if (n == 0) return out;
-  // Coarse assignment: one centroid-major sweep for the whole batch.
-  std::vector<FeatureView> views;
-  std::vector<std::size_t> nprobes;
-  views.reserve(n);
-  nprobes.reserve(n);
-  // Per-query filter plans first: extreme selectivity can widen a query's
-  // nprobe, which must happen before the shared coarse pass. Queries whose
-  // FilterExpression hashes (and compares) equal share one materialized
-  // bitmap — the batch pays the materialization cost once, not per query.
-  struct SharedBitmap {
-    std::uint64_t hash = 0;
-    CategoryId category = kNoCategoryFilter;
-    const FilterExpression* expr = nullptr;
-    std::shared_ptr<const MaterializedFilter> bits;  // null if direct mode
-  };
-  std::vector<SharedBitmap> shared;
-  std::vector<FilterPlan> plans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const IvfBatchQuery& bq = queries[i];
-    assert(bq.query.size() == dim());
-    views.push_back(bq.query);
-    const bool filtered = bq.filter != nullptr && !bq.filter->empty();
-    const std::uint64_t hash = filtered ? bq.filter->Hash() : 0;
-    SharedBitmap* match = nullptr;
-    for (SharedBitmap& s : shared) {
-      if (filtered && s.hash == hash && s.category == bq.category_filter &&
-          *s.expr == *bq.filter) {
-        match = &s;
-        break;
-      }
-    }
-    plans[i] = PlanFilteredScan(bq.filter, bq.category_filter, bq.nprobe,
-                                bq.filter_stats,
-                                match != nullptr ? match->bits : nullptr);
-    if (filtered && match == nullptr) {
-      shared.push_back({hash, bq.category_filter, bq.filter, plans[i].bits});
-    }
-    nprobes.push_back(plans[i].nprobe);
-  }
-  std::vector<std::vector<std::uint32_t>> probes =
-      quantizer_->NearestCentroidsBatch(views, nprobes);
-  // Tiered mode: pin every query's probe set for the batch's whole scan;
-  // per-query io budgets truncate their own probe lists.
-  std::vector<TieredListStore::PinGuard> guards;
-  if (tiered_store_ != nullptr) {
-    guards.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      guards.push_back(tiered_store_->Pin(probes[i],
-                                          queries[i].io_budget_micros,
-                                          queries[i].tier_stats));
-      probes[i] = guards.back().pinned();
-    }
-  }
-  // Every query's scan input in one aligned block, with the flat norms.
-  const std::size_t scan_floats = QueryScanFloats();
-  AlignedArray<float> query_scans = AllocateAligned<float>(n * scan_floats);
-  std::vector<float> query_norms(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    query_norms[i] =
-        PrepareQuery(queries[i].query, query_scans.get() + i * scan_floats);
-  }
-  // Scan in list order so a list probed by several queries is swept
-  // back-to-back while its rows are still in cache.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (list, query)
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plans[i].empty_result) continue;  // zero-match filter: no scan work
-    for (const std::uint32_t list : probes[i]) {
-      order.emplace_back(list, static_cast<std::uint32_t>(i));
-    }
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<TopK> topks;
-  topks.reserve(n);
-  for (const IvfBatchQuery& bq : queries) topks.emplace_back(ScanDepth(bq.k));
-  for (const auto& [list, qi] : order) {
-    const FilterPlan& fp = plans[qi];
-    const Admission admission{
-        fp.bits.get(), fp.post_mode, fp.direct,
-        fp.bits != nullptr ? kNoCategoryFilter : queries[qi].category_filter};
-    ScanList(list, query_scans.get() + qi * scan_floats, query_norms[qi],
-             admission, queries[qi].filter_stats, topks[qi]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = MaterializeRanked(Finish(queries[i].query, queries[i].k, topks[i]));
-  }
-  return out;
 }
 
 std::vector<SearchHit> IvfIndex::SearchExhaustive(FeatureView query,

@@ -25,7 +25,7 @@
 //
 // The codec branches only where the payload is touched: append, per-query
 // setup, the per-list scan and the rerank finish. Metadata writes, filter
-// planning, batching, tier pinning and materialization are shared.
+// planning, tier pinning and materialization are shared.
 //
 // Concurrency contract (matching the paper's architecture): exactly one
 // writer — the searcher applies every index mutation, both real-time updates
@@ -99,27 +99,6 @@ struct IvfIndexStats {
   std::size_t code_bytes_per_vector = 0;
   std::size_t code_memory_bytes = 0;
   std::size_t raw_memory_bytes = 0;
-};
-
-// One query of an in-searcher micro-batch: the per-query knobs of Search()
-// as a value, so concurrently admitted queries can share a coarse-probe pass
-// and back-to-back list scans (see Searcher micro-batching).
-struct IvfBatchQuery {
-  FeatureView query;
-  std::size_t k = 10;
-  std::size_t nprobe = 0;  // 0 = configured default
-  CategoryId category_filter = kNoCategoryFilter;
-  // Optional hybrid filter: the pointee must outlive the SearchBatch call
-  // (the searcher keeps it alive in the per-request QueryOptions). Null or
-  // empty means unfiltered.
-  const FilterExpression* filter = nullptr;
-  // Optional per-query diagnostics sink (caller-owned).
-  FilterScanStats* filter_stats = nullptr;
-  // Tiered serving: fault-time budget for cold posting lists (0 = no limit;
-  // probes past the budget are dropped — reduced effective nprobe) and an
-  // optional residency accounting sink (caller-owned).
-  Micros io_budget_micros = 0;
-  TierScanStats* tier_stats = nullptr;
 };
 
 class IvfIndex {
@@ -203,14 +182,6 @@ class IvfIndex {
                                 FilterScanStats* stats,
                                 Micros io_budget_micros,
                                 TierScanStats* tier_stats) const;
-
-  // Answers a group of concurrently admitted queries in one pass:
-  // coarse assignment is a single centroid-major sweep for the whole batch,
-  // and inverted lists probed by several queries are scanned back-to-back so
-  // their rows are read from cache instead of memory. Results are identical
-  // to calling Search() per query. out[i] answers queries[i].
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      std::span<const IvfBatchQuery> queries) const;
 
   // Scan stage alone: top-k (local id, distance) pairs over an
   // already-chosen probe set, without forward-index materialization (PQ:
@@ -330,12 +301,11 @@ class IvfIndex {
                                const float*, std::size_t)>& fn) const;
 
  private:
-  // One query's hybrid scan decision: the (possibly shared) materialized
-  // bitmap — or, for broad filters, a direct predicate pointer and no bitmap
-  // at all — plus the strategy the selectivity picked. Shared by Search and
-  // SearchBatch.
+  // One query's hybrid scan decision: the materialized bitmap — or, for
+  // broad filters, a direct predicate pointer and no bitmap at all — plus
+  // the strategy the selectivity picked.
   struct FilterPlan {
-    std::shared_ptr<const MaterializedFilter> bits;  // null unless built
+    std::unique_ptr<const MaterializedFilter> bits;  // null unless built
     // Direct post mode: predicates evaluated only on kernel survivors,
     // nothing materialized (broad filters).
     const FilterExpression* direct = nullptr;
@@ -355,14 +325,11 @@ class IvfIndex {
     CategoryId category = kNoCategoryFilter;
   };
 
-  // Plans one query: `filter` null or empty means unfiltered. `reuse`
-  // (optional) is an already-materialized bitmap for this exact (filter,
-  // category_filter) — SearchBatch shares one across a batch's queries with
-  // equal FilterExpression::Hash().
-  FilterPlan PlanFilteredScan(
-      const FilterExpression* filter, CategoryId category_filter,
-      std::size_t nprobe_override, FilterScanStats* stats,
-      std::shared_ptr<const MaterializedFilter> reuse = nullptr) const;
+  // Plans one query: `filter` null or empty means unfiltered.
+  FilterPlan PlanFilteredScan(const FilterExpression* filter,
+                              CategoryId category_filter,
+                              std::size_t nprobe_override,
+                              FilterScanStats* stats) const;
   // Sampled selectivity estimate (bounded forward-index probes, no bitmap):
   // the gate that sends broad filters into direct post mode.
   double EstimateFilterSelectivity(const FilterExpression& filter,

@@ -81,38 +81,6 @@ void ScanBlock::AttachFrozen(AlignedArray<LocalId> ids, AlignedArray<float> aux,
   size_.store(count, std::memory_order_release);
 }
 
-const ScanBlock::Chunk* ScanBlock::FindChunk(
-    std::size_t index) const noexcept {
-  // Backwards from the newest chunk: random access clusters on recently
-  // appended entries (e.g. PayloadAt(size()-1) right after Append), and the
-  // chunk count is O(log size) anyway.
-  const std::size_t chunks = chunk_count_.load(std::memory_order_acquire);
-  for (std::size_t c = chunks; c-- > 0;) {
-    if (chunks_[c].begin <= index) return &chunks_[c];
-  }
-  return nullptr;
-}
-
-const std::uint8_t* ScanBlock::PayloadAt(std::size_t index) const noexcept {
-  assert(index < size());
-  const Chunk* chunk = FindChunk(index);
-  return chunk->payload + (index - chunk->begin) * stride_;
-}
-
-std::uint8_t* ScanBlock::MutablePayloadAt(std::size_t index) noexcept {
-  assert(index < size());
-  const Chunk* chunk = FindChunk(index);
-  assert(!chunk->frozen);
-  return const_cast<std::uint8_t*>(chunk->payload) +
-         (index - chunk->begin) * stride_;
-}
-
-LocalId ScanBlock::IdAt(std::size_t index) const noexcept {
-  assert(index < size());
-  const Chunk* chunk = FindChunk(index);
-  return chunk->ids[index - chunk->begin];
-}
-
 bool ScanBlock::storage_aligned() const noexcept {
   const std::size_t chunks = chunk_count_.load(std::memory_order_acquire);
   for (std::size_t c = 0; c < chunks; ++c) {

@@ -57,25 +57,16 @@ class ScanBlock {
   // becomes `count` entries whose ids/aux the block owns but whose payload
   // is a non-owning pointer — in the tiered index it points into the mmap'd
   // snapshot, so the rows are demand-paged and never copied. The frozen
-  // chunk is immutable (MutablePayloadAt on it is a contract violation);
-  // subsequent Appends allocate heap chunks exactly as before, which is what
-  // makes the real-time delta RAM-resident and mutable on top of a
-  // disk-resident base. `payload` must be 64-byte aligned and hold
-  // count * payload_stride_bytes() bytes for the block's lifetime.
+  // chunk is immutable; subsequent Appends allocate heap chunks exactly as
+  // before, which is what makes the real-time delta RAM-resident and mutable
+  // on top of a disk-resident base. `payload` must be 64-byte aligned and
+  // hold count * payload_stride_bytes() bytes for the block's lifetime.
   void AttachFrozen(AlignedArray<LocalId> ids, AlignedArray<float> aux,
                     const std::uint8_t* payload, std::size_t count);
 
   // Entries in the frozen prefix (0 when none was attached); their payload
   // bytes are external (disk-backed), everything after them is heap.
   std::size_t frozen_entries() const noexcept { return frozen_entries_; }
-
-  // Payload pointer of entry `index`. Stable for the lifetime of the block;
-  // safe concurrently with Append for any index < size() observed earlier.
-  const std::uint8_t* PayloadAt(std::size_t index) const noexcept;
-  // Writer-side mutable access (in-place rewrite of invisible entries only,
-  // same caveat as VectorSet::Overwrite).
-  std::uint8_t* MutablePayloadAt(std::size_t index) noexcept;
-  LocalId IdAt(std::size_t index) const noexcept;
 
   // Visits every published entry as contiguous runs of at most
   // max_run_entries: fn(ids, payload, aux, count) where `ids` is count
@@ -135,8 +126,6 @@ class ScanBlock {
     std::size_t capacity = 0;  // entries this chunk can hold
     bool frozen = false;       // immutable prefix (external payload)
   };
-
-  const Chunk* FindChunk(std::size_t index) const noexcept;
 
   const std::size_t stride_;
   const std::size_t max_run_entries_;

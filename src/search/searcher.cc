@@ -1,6 +1,6 @@
 #include "search/searcher.h"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -16,8 +16,6 @@ Searcher::Searcher(std::string name, const Config& config, FeatureDb& features,
       features_(features),
       filter_(std::move(filter)),
       seed_(config.seed),
-      max_batch_queries_(config.max_batch_queries),
-      batch_window_micros_(config.batch_window_micros),
       registry_(config.registry != nullptr ? config.registry
                                            : &obs::Registry::Default()),
       trace_sink_(config.trace_sink != nullptr ? config.trace_sink
@@ -31,8 +29,6 @@ Searcher::Searcher(std::string name, const Config& config, FeatureDb& features,
           obs::Labeled("jdvs_stage_micros", "stage", "searcher_filter"))),
       io_stage_(&registry_->GetHistogram(
           obs::Labeled("jdvs_stage_micros", "stage", "searcher_io"))),
-      batch_size_(&registry_->GetHistogram(obs::Labeled(
-          "jdvs_searcher_batch_size", "searcher", node_.name()))),
       filter_selectivity_bp_(
           &registry_->GetHistogram("jdvs_filter_selectivity_bp")),
       filter_pre_total_(&registry_->GetCounter(
@@ -220,9 +216,6 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
                            std::atomic<Micros>* filter_micros_out,
                            std::atomic<Micros>* io_micros_out,
                            std::atomic<std::uint32_t>* tier_degraded_out) {
-  // Counted from dispatch (not scan start) so a query queued behind a
-  // running scan already reads as concurrent and opts into batching.
-  scans_in_flight_.fetch_add(1, std::memory_order_relaxed);
   node_.Call(
       CallOptions{.sink = trace_sink_,
                   .parent = parent,
@@ -244,9 +237,8 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
         FilterScanStats fstats;
         TierScanStats tstats;
         const Stopwatch watch(MonotonicClock::Instance());
-        auto hits = SearchBatched(query, k, nprobe, category_filter, filter,
-                                  filtered ? &fstats : nullptr, deadline,
-                                  &tstats);
+        auto hits = Scan(query, k, nprobe, category_filter, filter,
+                         filtered ? &fstats : nullptr, deadline, &tstats);
         const Micros elapsed = watch.ElapsedMicros();
         scan_micros_->Record(elapsed);
         scan_stage_->RecordWithExemplar(elapsed, span.context().trace_id);
@@ -313,7 +305,6 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
         return hits;
       },
       [this, done = std::move(on_done)](SearchResult result) {
-        scans_in_flight_.fetch_sub(1, std::memory_order_relaxed);
         // This is the bottom tier, so a DeadlineExceededError here was
         // raised here: the budget died in this searcher's queue.
         if (!result.ok() && qos::IsDeadlineExceeded(result.error)) {
@@ -323,11 +314,13 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
       });
 }
 
-std::vector<SearchHit> Searcher::SearchBatched(
-    FeatureView query, std::size_t k, std::size_t nprobe,
-    CategoryId category_filter, const FilterExpression& filter,
-    FilterScanStats* stats, qos::Deadline deadline,
-    TierScanStats* tier_stats) const {
+std::vector<SearchHit> Searcher::Scan(FeatureView query, std::size_t k,
+                                      std::size_t nprobe,
+                                      CategoryId category_filter,
+                                      const FilterExpression& filter,
+                                      FilterScanStats* stats,
+                                      qos::Deadline deadline,
+                                      TierScanStats* tier_stats) const {
   const std::shared_ptr<IvfIndex> index =
       index_.load(std::memory_order_acquire);
   if (!index) throw std::runtime_error(node_.name() + ": no index installed");
@@ -340,91 +333,8 @@ std::vector<SearchHit> Searcher::SearchBatched(
     io_budget = std::max<Micros>(
         1, deadline.RemainingMicros(MonotonicClock::Instance()) / 2);
   }
-  // Solo fast path: batching disabled, nobody else in flight, or a budget
-  // too tight to spend any of it waiting (the window plus the batch's own
-  // scan must both fit).
-  Micros window = batch_window_micros_;
-  if (!deadline.unlimited()) {
-    const Micros remaining =
-        deadline.RemainingMicros(MonotonicClock::Instance());
-    if (remaining < 2 * batch_window_micros_) {
-      window = 0;
-    } else {
-      window = std::min<Micros>(window, remaining / 2);
-    }
-  }
-  if (max_batch_queries_ < 2 || window == 0 ||
-      scans_in_flight_.load(std::memory_order_relaxed) <= 1) {
-    batch_size_->Record(1);
-    return index->Search(query, k, nprobe, category_filter,
-                         filter.empty() ? nullptr : &filter, stats, io_budget,
-                         tier_stats);
-  }
-
-  PendingScan me;
-  me.query = IvfBatchQuery{query, k, nprobe, category_filter};
-  me.query.io_budget_micros = io_budget;
-  me.query.tier_stats = tier_stats;
-  if (!filter.empty()) {
-    // `filter` outlives the batch: the leader's SearchBatch call completes
-    // before any waiter (this frame included) unparks.
-    me.query.filter = &filter;
-    me.query.filter_stats = stats;
-  }
-
-  std::unique_lock lock(batch_mu_);
-  if (forming_ && forming_->open &&
-      forming_->waiters.size() < max_batch_queries_) {
-    // Follower: join the forming batch and park until the leader delivers.
-    // The wait is bounded — the leader's window is capped and the batch scan
-    // itself is admitted work either way.
-    const std::shared_ptr<FormingBatch> batch = forming_;
-    batch->waiters.push_back(&me);
-    if (batch->waiters.size() >= max_batch_queries_) {
-      batch->open = false;  // full: wake the leader early
-      batch_cv_.notify_all();
-    }
-    batch_cv_.wait(lock, [&] { return me.done; });
-    if (me.error) std::rethrow_exception(me.error);
-    return std::move(me.hits);
-  }
-
-  // Leader: open a batch, wait out the window (followers may close it early
-  // by filling the batch), then run the whole group through SearchBatch.
-  const auto batch = std::make_shared<FormingBatch>();
-  batch->waiters.push_back(&me);
-  forming_ = batch;
-  const auto wait_until = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(window);
-  while (batch->open &&
-         batch_cv_.wait_until(lock, wait_until) != std::cv_status::timeout) {
-  }
-  batch->open = false;
-  if (forming_ == batch) forming_.reset();
-  const std::vector<PendingScan*> group = batch->waiters;
-  lock.unlock();
-
-  batch_size_->Record(static_cast<std::int64_t>(group.size()));
-  try {
-    std::vector<IvfBatchQuery> queries;
-    queries.reserve(group.size());
-    for (const PendingScan* waiter : group) queries.push_back(waiter->query);
-    std::vector<std::vector<SearchHit>> results = index->SearchBatch(queries);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      group[i]->hits = std::move(results[i]);
-    }
-  } catch (...) {
-    // Every waiter sees the failure; none can be left parked.
-    const std::exception_ptr error = std::current_exception();
-    for (PendingScan* waiter : group) waiter->error = error;
-  }
-
-  lock.lock();
-  for (PendingScan* waiter : group) waiter->done = true;
-  batch_cv_.notify_all();
-  lock.unlock();
-  if (me.error) std::rethrow_exception(me.error);
-  return std::move(me.hits);
+  return index->Search(query, k, nprobe, category_filter, &filter, stats,
+                       io_budget, tier_stats);
 }
 
 std::vector<SearchHit> Searcher::SearchLocal(FeatureView query, std::size_t k,
@@ -435,9 +345,6 @@ std::vector<SearchHit> Searcher::SearchLocal(FeatureView query, std::size_t k,
   const std::shared_ptr<IvfIndex> index =
       index_.load(std::memory_order_acquire);
   if (!index) throw std::runtime_error(node_.name() + ": no index installed");
-  if (filter.empty() && stats == nullptr) {
-    return index->Search(query, k, nprobe, category_filter);
-  }
   return index->Search(query, k, nprobe, category_filter, filter, stats);
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -47,16 +46,6 @@ class Searcher {
     std::size_t threads = 2;
     LatencyModel latency;
     std::uint64_t seed = 0;
-    // In-searcher micro-batching: queries admitted while another scan is in
-    // flight are grouped (up to `max_batch_queries`, waiting at most
-    // `batch_window_micros`) and answered through IvfIndex::SearchBatch, so
-    // coarse probing is one centroid sweep and shared lists are scanned
-    // back-to-back. A query arriving on an idle searcher never waits, and a
-    // query whose deadline budget is tighter than twice the window runs solo
-    // — batching never spends latency a deadline cannot afford. Set
-    // `max_batch_queries` < 2 to disable.
-    std::size_t max_batch_queries = 4;
-    Micros batch_window_micros = 200;
     // Observability (null = process-global defaults). The registry receives
     // the per-searcher scan histogram, message counter and real-time update
     // counter; the sink receives "searcher.scan" / "rt.apply" spans of
@@ -249,40 +238,21 @@ class Searcher {
   // consumer_mu_.
   void StopConsumingLocked();
 
-  // One waiter of a forming micro-batch. The pointed-to storage lives on the
-  // waiting pool thread's stack; the leader fills it before setting `done`.
-  struct PendingScan {
-    IvfBatchQuery query;
-    std::vector<SearchHit> hits;
-    std::exception_ptr error;
-    bool done = false;
-  };
-  struct FormingBatch {
-    std::vector<PendingScan*> waiters;
-    bool open = true;  // accepting joiners
-  };
-
-  // Scan body of SearchAsync: joins or leads a micro-batch when other scans
-  // are in flight, otherwise degenerates to a plain index Search. `filter`
-  // must outlive the call (it rides the batch as a pointer); `stats`
-  // (caller-owned, may be null) receives this query's filter diagnostics.
-  // `tier_stats` (caller-owned, may be null) receives the tiered-serving
-  // accounting (faults, drops, io time); the io budget handed to the index
+  // Scan body of SearchAsync: one index Search on the calling pool thread.
+  // `stats` (caller-owned, may be null) receives this query's filter
+  // diagnostics; `tier_stats` (caller-owned) receives the tiered-serving
+  // accounting (faults, drops, io time). The io budget handed to the index
   // is carved from the deadline's remaining budget.
-  std::vector<SearchHit> SearchBatched(FeatureView query, std::size_t k,
-                                       std::size_t nprobe,
-                                       CategoryId category_filter,
-                                       const FilterExpression& filter,
-                                       FilterScanStats* stats,
-                                       qos::Deadline deadline,
-                                       TierScanStats* tier_stats) const;
+  std::vector<SearchHit> Scan(FeatureView query, std::size_t k,
+                              std::size_t nprobe, CategoryId category_filter,
+                              const FilterExpression& filter,
+                              FilterScanStats* stats, qos::Deadline deadline,
+                              TierScanStats* tier_stats) const;
 
   Node node_;
   FeatureDb& features_;
   PartitionFilter filter_;
   std::uint64_t seed_;
-  const std::size_t max_batch_queries_;
-  const Micros batch_window_micros_;
   obs::Registry* registry_;
   obs::TraceSink* trace_sink_;
   FaultInjector* fault_injector_;
@@ -290,7 +260,6 @@ class Searcher {
   Histogram* scan_stage_;         // shared jdvs_stage_micros{stage="searcher_scan"}
   Histogram* filter_stage_;       // shared jdvs_stage_micros{stage="searcher_filter"}
   Histogram* io_stage_;           // shared jdvs_stage_micros{stage="searcher_io"}
-  Histogram* batch_size_;         // jdvs_searcher_batch_size{searcher=...}
   // Hybrid-filter observability (filtered queries only).
   Histogram* filter_selectivity_bp_;     // jdvs_filter_selectivity_bp
   obs::Counter* filter_pre_total_;       // jdvs_filter_strategy_total{strategy=pre}
@@ -302,13 +271,6 @@ class Searcher {
   obs::Counter* deadline_exceeded_;  // jdvs_qos_deadline_exceeded_total{tier=searcher}
 
   std::atomic<std::shared_ptr<IvfIndex>> index_{nullptr};
-  // Micro-batching state. scans_in_flight_ counts dispatched-but-uncompleted
-  // SearchAsync scans; batching only engages when it exceeds 1, so a lone
-  // query pays zero extra latency (not even the mutex).
-  mutable std::atomic<int> scans_in_flight_{0};
-  mutable std::mutex batch_mu_;
-  mutable std::condition_variable batch_cv_;
-  mutable std::shared_ptr<FormingBatch> forming_;  // guarded by batch_mu_
   mutable std::mutex writer_mu_;              // serializes all mutations
   std::unique_ptr<RealTimeIndexer> indexer_;  // guarded by writer_mu_
   RealTimeIndexerCounters retired_counters_;  // guarded by writer_mu_

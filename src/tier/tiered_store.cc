@@ -296,6 +296,9 @@ TieredListStore::PinGuard TieredListStore::Pin(
     }
     dropped.clear();
     if (fault) {
+      // Timed from before the injected delay: a degraded disk's extra
+      // latency is fault time and counts against the io budget.
+      const Stopwatch watch(*clock_);
       FaultInjector::StorageDecision injected;
       if (config_.fault_injector != nullptr) {
         injected = config_.fault_injector->DecideStorage(config_.node_name);
@@ -304,7 +307,6 @@ TieredListStore::PinGuard TieredListStore::Pin(
               std::chrono::microseconds(injected.delay_micros));
         }
       }
-      const Stopwatch watch(*clock_);
       file_.Advise(extent.offset, extent.bytes, MmapFile::Advice::kWillNeed);
       std::uint32_t crc = 0;
       const bool touched =

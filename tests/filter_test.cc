@@ -422,37 +422,6 @@ TEST(IvfFilterTest, FilterConjoinsWithLegacyCategoryFilter) {
   }
 }
 
-TEST(IvfFilterTest, SearchBatchMatchesPerQueryFilteredSearch) {
-  FlatFixture fx(1500, 16);
-  FilterExpression narrow;
-  narrow.WithMin(FilterField::kSales, 1400);
-  FilterExpression broad;
-  broad.WithMax(FilterField::kPriceCents, 5000);
-
-  std::vector<IvfBatchQuery> batch;
-  std::vector<FeatureVector> queries;
-  std::vector<FilterScanStats> stats(4);
-  for (std::uint64_t i = 0; i < 4; ++i) queries.push_back(fx.Query(30 + i));
-  batch.push_back({queries[0], 10, 0, kNoCategoryFilter, &narrow, &stats[0]});
-  batch.push_back({queries[1], 10, 0, kNoCategoryFilter, nullptr, &stats[1]});
-  batch.push_back({queries[2], 10, 0, kNoCategoryFilter, &broad, &stats[2]});
-  batch.push_back({queries[3], 10, 0, /*category_filter=*/2, nullptr,
-                   &stats[3]});
-  const auto results = fx.index->SearchBatch(batch);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(UrlSet(results[0]),
-            UrlSet(fx.index->Search(queries[0], 10, 0, kNoCategoryFilter,
-                                    narrow)));
-  EXPECT_EQ(UrlSet(results[1]), UrlSet(fx.index->Search(queries[1], 10)));
-  EXPECT_EQ(UrlSet(results[2]),
-            UrlSet(fx.index->Search(queries[2], 10, 0, kNoCategoryFilter,
-                                    broad)));
-  EXPECT_EQ(UrlSet(results[3]),
-            UrlSet(fx.index->Search(queries[3], 10, 0, 2)));
-  EXPECT_NE(stats[0].strategy, FilterScanStats::Strategy::kNone);
-  EXPECT_NE(stats[2].strategy, FilterScanStats::Strategy::kNone);
-}
-
 // The naive over-fetch + post-filter baseline the pushdown is measured
 // against.
 TEST(IvfFilterTest, BaseClassFallbackFiltersCorrectly) {

@@ -46,6 +46,7 @@ TEST(IvfIndexTest, AddAndFindExact) {
   auto quantizer = GridQuantizer();
   IvfIndex index(quantizer);
   const FeatureVector f = NearCentroid(*quantizer, 0, 0.1f, 1);
+  EXPECT_TRUE(index.Search(f, 3).empty());  // an empty index answers empty
   index.AddImage("jd://img/1/0", 1, 2, Attrs(), "jd://item/1", f);
 
   const auto hits = index.Search(f, 3);

@@ -368,7 +368,7 @@ TEST(AlignedTest, AllocationsAreAlignedAndZeroed) {
 
 TEST(ScanBlockTest, RoundTripsEntriesAcrossChunks) {
   // 40 entries span the 16-entry first chunk and part of the 32-entry
-  // second, so random access crosses a chunk boundary.
+  // second, so the read-back crosses a chunk boundary.
   constexpr std::size_t kStride = 12;
   constexpr std::size_t kEntries = 40;
   ScanBlock block(kStride, /*max_run_entries=*/8);
@@ -380,10 +380,27 @@ TEST(ScanBlockTest, RoundTripsEntriesAcrossChunks) {
     payloads.push_back(std::move(payload));
   }
   ASSERT_EQ(block.size(), kEntries);
-  for (std::size_t i = 0; i < kEntries; ++i) {
-    EXPECT_EQ(block.IdAt(i), i * 10);
-    EXPECT_EQ(std::memcmp(block.PayloadAt(i), payloads[i].data(), kStride), 0);
-  }
+  std::size_t i = 0;
+  std::size_t chunk_crossings = 0;
+  const LocalId* previous_run_end = nullptr;
+  block.ForEachRun([&](const LocalId* ids, const std::uint8_t* payload,
+                       const float* aux, std::size_t count) {
+    // A run that does not continue the previous one's id array starts a new
+    // chunk.
+    if (previous_run_end != nullptr && ids != previous_run_end) {
+      ++chunk_crossings;
+    }
+    previous_run_end = ids + count;
+    for (std::size_t j = 0; j < count; ++j, ++i) {
+      ASSERT_LT(i, kEntries);
+      EXPECT_EQ(ids[j], i * 10);
+      EXPECT_EQ(std::memcmp(payload + j * kStride, payloads[i].data(), kStride),
+                0);
+      EXPECT_EQ(aux[j], static_cast<float>(i) * 0.5f);
+    }
+  });
+  EXPECT_EQ(i, kEntries);
+  EXPECT_EQ(chunk_crossings, 1u);
   EXPECT_TRUE(block.storage_aligned());
   // Geometric growth: 16 + 32 entries allocated for 40 stored.
   EXPECT_EQ(block.memory_bytes(),

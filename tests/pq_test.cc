@@ -218,12 +218,44 @@ TEST(IvfPqIndexTest, RerankingImprovesOrdering) {
     const auto query =
         fx.embedder.ExtractQuery(pid, static_cast<CategoryId>(pid % 8), pid);
     const auto p = index_plain.Search(query, 1);
-    const auto r = index_rerank.Search(query, 1);
+    const auto r = index_rerank.Search(query, 5);
     if (!p.empty() && p[0].product_id == pid) ++plain_top1;
     if (!r.empty() && r[0].product_id == pid) ++rerank_top1;
+    // The rerank ran: every distance is the exact one to the raw feature,
+    // not its ADC approximation.
+    for (const SearchHit& hit : r) {
+      const FeatureVector feature = fx.embedder.Extract(
+          {hit.image_url, hit.product_id,
+           static_cast<CategoryId>(hit.product_id % 8)});
+      EXPECT_EQ(hit.distance, L2SquaredDistance(query, feature));
+    }
   }
   EXPECT_GE(rerank_top1, plain_top1);
   EXPECT_GE(rerank_top1, 38);
+}
+
+TEST(IvfPqIndexTest, AdcDistancesMatchDecodedDistances) {
+  PqFixture fx;
+  IvfIndexConfig config;
+  config.nprobe = 16;  // probe everything: the scan covers the whole corpus
+  IvfIndex index(fx.quantizer, fx.pq, config);
+  fx.Fill(index, 60, 1);
+
+  for (ProductId pid = 1; pid <= 10; ++pid) {
+    const auto query = fx.embedder.ExtractQuery(
+        pid, static_cast<CategoryId>(pid % 8), /*seed=*/pid);
+    for (const auto& hit : index.Search(query, 5)) {
+      // The stored code is Encode(feature) and encoding is deterministic, so
+      // the ADC distance the scan produced must match the asymmetric
+      // distance to the reconstruction, up to table-vs-decode FP rounding.
+      const FeatureVector feature = fx.embedder.Extract(
+          {hit.image_url, hit.product_id,
+           static_cast<CategoryId>(hit.product_id % 8)});
+      const float exact =
+          fx.pq->AsymmetricDistance(query, fx.pq->Encode(feature));
+      EXPECT_NEAR(hit.distance, exact, 1e-3f * (1.f + exact));
+    }
+  }
 }
 
 TEST(IvfPqIndexTest, StatsReportCompression) {

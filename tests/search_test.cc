@@ -2,6 +2,7 @@
 // failover, blender end-to-end on a hand-built mini-cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -10,15 +11,18 @@
 #include "cluster/kmeans.h"
 #include "common/hash.h"
 #include "index/full_index_builder.h"
+#include "net/fault_injector.h"
 #include "pq/codebook.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "qos/deadline.h"
 #include "search/blender.h"
 #include "search/broker.h"
 #include "search/cluster_builder.h"
 #include "search/ranking.h"
 #include "search/searcher.h"
 #include "search/types.h"
+#include "vecmath/kernels.h"
 #include "workload/catalog_gen.h"
 
 namespace jdvs {
@@ -165,6 +169,17 @@ struct MiniCluster {
   std::unique_ptr<Blender> blender;
 };
 
+void ExpectSameHitList(const std::vector<SearchHit>& got,
+                       const std::vector<SearchHit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].image_id, want[i].image_id);
+    EXPECT_EQ(got[i].distance, want[i].distance);
+    EXPECT_EQ(got[i].image_url, want[i].image_url);
+    EXPECT_EQ(got[i].attributes, want[i].attributes);
+  }
+}
+
 TEST(SearcherTest, SearchBeforeInstallThrows) {
   SyntheticEmbedder embedder({.dim = 8, .num_categories = 2, .seed = 1});
   FeatureDb features(embedder, {.mean_micros = 0});
@@ -228,6 +243,82 @@ TEST(SearcherTest, InstallIndexSwapsUnderSearches) {
   const std::size_t new_size = new_index->size();
   mini.searcher_a->InstallIndex(std::move(new_index));
   EXPECT_EQ(mini.searcher_a->index_stats().total_images, new_size);
+}
+
+TEST(SearcherTest, ConcurrentAsyncMatchesSearchLocal) {
+  MiniCluster mini;
+  Searcher::Config config;
+  config.threads = 4;
+  Searcher searcher("s-4", config, mini.features, AcceptAllPartitionFilter());
+  FullIndexBuilderConfig fc;
+  fc.kmeans.num_clusters = 6;
+  fc.index_config.nprobe = 6;
+  FullIndexBuilder builder(mini.catalog, mini.images, mini.features, fc);
+  searcher.InstallIndex(
+      builder.Build(mini.quantizer, AcceptAllPartitionFilter()));
+
+  constexpr std::size_t kQueries = 24;
+  std::vector<FeatureVector> queries;
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    const ProductId pid = 1 + (i % 60);
+    queries.push_back(mini.embedder.ExtractQuery(
+        pid, mini.catalog.Get(pid)->category, /*seed=*/i + 1));
+  }
+  // Dispatch everything before joining anything, so scans overlap on the
+  // pool; each answer equals the in-process one, bit for bit.
+  std::vector<std::future<std::vector<SearchHit>>> futures;
+  for (const FeatureVector& query : queries) {
+    futures.push_back(searcher.SearchAsync(query, /*k=*/5));
+  }
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    ExpectSameHitList(futures[i].get(),
+                      searcher.SearchLocal(queries[i], /*k=*/5));
+  }
+}
+
+// A tiered partition under a deadline gives cold-list faults half the
+// remaining budget: on a slow disk (20 ms per fault-in) a 30 ms query keeps
+// its first probe and drops the rest instead of spending 6 x 20 ms, while
+// the same query without a deadline faults in every probe.
+TEST(SearcherTest, DeadlineBoundsTieredFaultTime) {
+  MiniCluster mini;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("jdvs_io_budget_" + std::to_string(::getpid()) + ".snap"))
+          .string();
+  mini.searcher_a->SaveIndexSnapshot(path);
+  {
+    obs::Registry registry;
+    FaultInjector injector(/*seed=*/1);
+    injector.SetStorage("s-tiered",
+                        StorageFaults{.fault_in_delay_micros = 20'000});
+    Searcher::Config config;
+    config.registry = &registry;
+    config.fault_injector = &injector;
+    Searcher tiered("s-tiered", config, mini.features,
+                    mini.searcher_a->partition_filter());
+    tiered.InstallFromTieredSnapshot(path, /*resident_budget_bytes=*/1);
+    const obs::Counter& dropped =
+        registry.GetCounter("jdvs_tier_probes_dropped_total");
+
+    const auto record = mini.catalog.Get(10);
+    const auto query =
+        mini.embedder.ExtractQuery(record->id, record->category, 1);
+    const auto deadline =
+        qos::Deadline::FromBudget(MonotonicClock::Instance(), 30'000);
+    EXPECT_FALSE(tiered
+                     .SearchAsync(query, /*k=*/5, /*nprobe=*/0,
+                                  kNoCategoryFilter, FilterExpression{},
+                                  deadline)
+                     .get()
+                     .empty());
+    const std::uint64_t dropped_under_deadline = dropped.Value();
+    EXPECT_GT(dropped_under_deadline, 0u);
+
+    EXPECT_FALSE(tiered.SearchAsync(query, /*k=*/5).get().empty());
+    EXPECT_EQ(dropped.Value(), dropped_under_deadline);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(BrokerTest, MergesAcrossPartitions) {
@@ -668,13 +759,18 @@ TEST(ClusterObservabilityTest, RegistryMatchesComponentCounters) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE jdvs_stage_micros histogram"), std::string::npos);
   EXPECT_NE(text.find("jdvs_stage_micros_bucket{"), std::string::npos);
+
+  // The dispatch-tier gauge reflects the resolved kernel tier.
+  const obs::Gauge* tier = registry.FindGauge("jdvs_kernel_dispatch_tier");
+  ASSERT_NE(tier, nullptr);
+  EXPECT_EQ(tier->Value(), static_cast<std::int64_t>(ActiveKernelTier()));
   cluster->Stop();
 }
 
 // A Searcher serves a PQ-coded partition as it is: the list codec lives in
 // the installed IvfIndex, so no searcher setting selects it. Parameterized
-// on max_batch_queries: 1 answers every query solo, 4 (the default) groups
-// concurrent queries through SearchBatch.
+// on how many queries the client keeps in flight: 1 joins each answer before
+// the next query is sent, 4 overlaps four scans on the searcher's pool.
 class PqSearcherTest : public ::testing::TestWithParam<std::size_t> {
  protected:
   static constexpr ProductId kProducts = 90;
@@ -722,43 +818,42 @@ class PqSearcherTest : public ::testing::TestWithParam<std::size_t> {
         pid, static_cast<CategoryId>(pid % kCategories), seed);
   }
 
+  // Sends queries for products 1..24 in waves of GetParam(), every query of
+  // a wave dispatched before any is joined, and checks each answer against
+  // the index's own.
+  void ExpectAnswersMatchIndex(Searcher& searcher, const IvfIndex& index) {
+    const std::size_t in_flight = GetParam();
+    std::vector<FeatureVector> queries;
+    for (ProductId pid = 1; pid <= 24; ++pid) {
+      queries.push_back(Query(pid, pid));
+    }
+    for (std::size_t begin = 0; begin < queries.size(); begin += in_flight) {
+      const std::size_t end = std::min(queries.size(), begin + in_flight);
+      std::vector<std::future<std::vector<SearchHit>>> futures;
+      for (std::size_t i = begin; i < end; ++i) {
+        futures.push_back(searcher.SearchAsync(queries[i], /*k=*/5));
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        ExpectSameHitList(futures[i - begin].get(),
+                          index.Search(queries[i], 5));
+      }
+    }
+  }
+
   SyntheticEmbedder embedder;
   FeatureDb features;
 };
 
-void ExpectSameHitList(const std::vector<SearchHit>& got,
-                       const std::vector<SearchHit>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].image_id, want[i].image_id);
-    EXPECT_EQ(got[i].distance, want[i].distance);
-    EXPECT_EQ(got[i].image_url, want[i].image_url);
-    EXPECT_EQ(got[i].attributes, want[i].attributes);
-  }
-}
-
 TEST_P(PqSearcherTest, ServesPqCodedPartition) {
   Searcher::Config config;
   config.threads = 4;
-  config.max_batch_queries = GetParam();
-  config.batch_window_micros = 500;
   Searcher searcher("s-pq", config, features, AcceptAllPartitionFilter());
   std::unique_ptr<IvfIndex> owned = BuildPqIndex();
   const IvfIndex& index = *owned;
   ASSERT_NE(index.pq(), nullptr);
   searcher.InstallIndex(std::move(owned));
 
-  // Every query dispatched before any is joined, so scans overlap and the
-  // batched path can engage; each answer equals the index's own.
-  std::vector<FeatureVector> queries;
-  for (ProductId pid = 1; pid <= 24; ++pid) queries.push_back(Query(pid, pid));
-  std::vector<std::future<std::vector<SearchHit>>> futures;
-  for (const FeatureVector& q : queries) {
-    futures.push_back(searcher.SearchAsync(q, /*k=*/5));
-  }
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameHitList(futures[i].get(), index.Search(queries[i], 5));
-  }
+  ExpectAnswersMatchIndex(searcher, index);
 
   // Real-time updates through the searcher show in the next answer.
   constexpr ProductId kFresh = 500;
@@ -820,8 +915,6 @@ TEST_P(PqSearcherTest, ServesPqCodedPartition) {
 TEST_P(PqSearcherTest, ServesPqPartitionFromMappedSnapshot) {
   Searcher::Config config;
   config.threads = 4;
-  config.max_batch_queries = GetParam();
-  config.batch_window_micros = 500;
   Searcher source("s-pq-source", config, features, AcceptAllPartitionFilter());
   std::unique_ptr<IvfIndex> owned = BuildPqIndex();
   const IvfIndex& index = *owned;
@@ -837,18 +930,7 @@ TEST_P(PqSearcherTest, ServesPqPartitionFromMappedSnapshot) {
                     AcceptAllPartitionFilter());
     mapped.InstallFromTieredSnapshot(path, /*resident_budget_bytes=*/1);
     EXPECT_EQ(mapped.applied_sequence(), 17u);
-
-    std::vector<FeatureVector> queries;
-    for (ProductId pid = 1; pid <= 24; ++pid) {
-      queries.push_back(Query(pid, pid));
-    }
-    std::vector<std::future<std::vector<SearchHit>>> futures;
-    for (const FeatureVector& q : queries) {
-      futures.push_back(mapped.SearchAsync(q, /*k=*/5));
-    }
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameHitList(futures[i].get(), index.Search(queries[i], 5));
-    }
+    ExpectAnswersMatchIndex(mapped, index);
 
     constexpr ProductId kFresh = 500;
     const CategoryId fresh_category = kFresh % kCategories;
