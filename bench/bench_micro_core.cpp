@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: distance
-// kernels, top-k selection, bitmap, forward index, inverted list, histogram,
-// coarse quantizer.
+// kernels, top-k selection, bitmap, forward index, posting list (ScanBlock),
+// histogram, coarse quantizer.
 //
 // `--roofline` switches to the kernel roofline harness instead: per-kernel
 // GB/s and distances/s for every dispatch tier this CPU supports, plus the
@@ -12,8 +12,10 @@
 #include <array>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "bench_common.h"
 #include "jdvs/jdvs.h"
@@ -114,28 +116,37 @@ void BM_ForwardIndexUpdateNumeric(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardIndexUpdateNumeric);
 
-void BM_InvertedListAppend(benchmark::State& state) {
-  std::unique_ptr<InvertedList> list;
+// One padded 16-float row per entry.
+using ListRow = std::array<float, 16>;
+
+void BM_ScanBlockAppend(benchmark::State& state) {
+  const ListRow row{};
+  std::unique_ptr<ScanBlock> block;
   std::size_t i = 0;
   for (auto _ : state) {
-    if (i % 1000000 == 0) list = std::make_unique<InvertedList>(1024);
-    list->Append(static_cast<LocalId>(i++));
+    if (i % 1000000 == 0) block = std::make_unique<ScanBlock>(sizeof(row));
+    block->Append(static_cast<LocalId>(i++), row.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_InvertedListAppend);
+BENCHMARK(BM_ScanBlockAppend);
 
-void BM_InvertedListScan(benchmark::State& state) {
-  InvertedList list(1 << 16);
-  for (LocalId i = 0; i < (1 << 16); ++i) list.Append(i);
+void BM_ScanBlockScan(benchmark::State& state) {
+  const ListRow row{};
+  ScanBlock block(sizeof(row));
+  for (LocalId i = 0; i < (1 << 16); ++i) block.Append(i, row.data());
   for (auto _ : state) {
     std::uint64_t sum = 0;
-    list.Scan([&sum](LocalId id) { sum += id; });
+    block.ForEachRun([&sum](const LocalId* ids, const std::uint8_t*,
+                            const float*, std::size_t count) {
+      for (std::size_t j = 0; j < count; ++j) sum += ids[j];
+    });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * (1 << 16));
 }
-BENCHMARK(BM_InvertedListScan);
+BENCHMARK(BM_ScanBlockScan);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram histogram;
@@ -440,6 +451,20 @@ struct SeedTopK {
   }
   TopK topk;
 };
+// The seed's posting list: a growing id array whose Scan invoked a
+// std::function per entry, compiled in its own translation unit. Scan stays
+// out of line so each entry still pays that indirect call.
+class SeedList {
+ public:
+  void Append(LocalId id) { ids_.push_back(id); }
+  __attribute__((noinline)) void Scan(
+      const std::function<void(LocalId)>& visit) const {
+    for (const LocalId id : ids_) visit(id);
+  }
+
+ private:
+  std::vector<LocalId> ids_;
+};
 struct IvfRows {
   std::vector<Row> rows;
   double seed_scalar_qps = 0.0;
@@ -471,14 +496,10 @@ IvfRows IvfScanRows() {
   ic.nprobe = kNprobe;
   IvfIndex index(quantizer, ic);
   // Seed-style mirror built from the repo's own primitives, reproducing the
-  // pre-refactor scan path cost for cost: InvertedList::Scan's per-entry
+  // pre-refactor scan path cost for cost: the seed list's per-entry
   // std::function callback, VectorSet::At's chunk indirection, and one
   // dispatched L2SquaredDistance wrapper call per candidate.
-  std::vector<std::unique_ptr<InvertedList>> seed_lists;
-  seed_lists.reserve(kClusters);
-  for (std::size_t c = 0; c < kClusters; ++c) {
-    seed_lists.push_back(std::make_unique<InvertedList>());
-  }
+  std::vector<SeedList> seed_lists(kClusters);
   VectorSet seed_features(kDim);
   const ProductAttributes attrs{.sales = 1, .price_cents = 1, .praise = 1};
   for (std::size_t i = 0; i < kImages; ++i) {
@@ -488,7 +509,7 @@ IvfRows IvfScanRows() {
         MakeImageUrl(pid, static_cast<std::uint32_t>(i / 10000));
     const FeatureVector feature = embedder.Extract({url, pid, cat});
     index.AddImage(url, pid, cat, attrs, "", feature);
-    seed_lists[quantizer->NearestCentroid(feature)]->Append(
+    seed_lists[quantizer->NearestCentroid(feature)].Append(
         static_cast<LocalId>(i));
     seed_features.Append(feature);
   }
@@ -522,7 +543,7 @@ IvfRows IvfScanRows() {
       const FeatureView qview(queries[qi].data(), queries[qi].size());
       SeedTopK topk(kK);
       for (const std::uint32_t list : probe_sets[qi]) {
-        seed_lists[list]->Scan([&](LocalId local) {
+        seed_lists[list].Scan([&](LocalId local) {
           if (!valid.Get(local)) return;
           topk.Offer(local,
                      L2SquaredDistance(qview, seed_features.At(local)));
@@ -549,7 +570,7 @@ IvfRows IvfScanRows() {
       const FeatureView qview(q.data(), q.size());
       SeedTopK topk(kK);
       for (const std::uint32_t list : quantizer->NearestCentroids(q, kNprobe)) {
-        seed_lists[list]->Scan([&](LocalId local) {
+        seed_lists[list].Scan([&](LocalId local) {
           if (!valid.Get(local)) return;
           topk.Offer(local,
                      L2SquaredDistance(qview, seed_features.At(local)));

@@ -34,7 +34,6 @@
 #include "index/digest.h"
 #include "index/forward_index.h"
 #include "index/full_index_builder.h"
-#include "index/inverted_index.h"
 #include "index/ivf_index.h"
 #include "index/realtime_indexer.h"
 #include "index/snapshot.h"

@@ -108,18 +108,6 @@ Micros Broker::replica_latency_ewma(std::size_t partition,
   return local_latency_[partition][replica].load(std::memory_order_relaxed);
 }
 
-namespace {
-
-void FoldMax(std::atomic<Micros>& target, Micros value) {
-  Micros current = target.load(std::memory_order_relaxed);
-  while (value > current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 // One collector slot's dispatch state: the candidate list plus the
 // arbitration between its racing attempts (primary, failovers, a hedge).
 // `completed` is the slot-level first-completion-wins flag — the node-level
@@ -139,6 +127,12 @@ struct Broker::Slot {
   std::atomic<Micros> first_dispatched_at{0};
   std::mutex error_mu;
   std::exception_ptr last_error;  // guarded by error_mu
+  // Written by the winning attempt before it completes the collector slot;
+  // the collector's acq_rel countdown publishes them to FinishFanOut. The
+  // winner's wall time, and its dispatch gap behind the primary when a
+  // hedge won.
+  Micros attempt_micros = 0;
+  Micros hedge_wait_micros = 0;
 
   void CancelHedgeTimer() {
     const std::uint64_t id = hedge_timer.exchange(0, std::memory_order_acq_rel);
@@ -173,21 +167,9 @@ struct Broker::FanOutState {
   // slot carries the last replica's error.
   std::vector<std::size_t> slot_partition;
   std::deque<Slot> slots;  // deque: Slot holds atomics + a mutex
-  std::shared_ptr<FanInCollector<std::vector<SearchHit>>> collector;
+  std::shared_ptr<FanInCollector<Searcher::ScanReply>> collector;
   std::atomic<std::uint64_t> failovers{0};
   std::atomic<std::uint64_t> hedge_wins{0};
-  // Diagnosis fold for Reply: the winning attempt of the slowest slot (the
-  // scan that gated this broker) and the worst hedge-win dispatch gap.
-  std::atomic<Micros> slowest_attempt{0};
-  std::atomic<Micros> max_hedge_wait{0};
-  // Max-folded by every attempt's searcher (hedges and failovers included):
-  // the worst filter-bitmap materialization cost contributing to this
-  // fan-out, surfaced in Reply::filter_micros, and the worst tiered
-  // cold-list fault time, surfaced in Reply::io_micros.
-  std::atomic<Micros> filter_micros{0};
-  std::atomic<Micros> io_micros{0};
-  // Attempts that skipped quarantined tiered lists (integrity degradation).
-  std::atomic<std::uint32_t> tier_degraded{0};
 };
 
 void Broker::SearchAsync(FeatureVector query, std::size_t k,
@@ -261,7 +243,7 @@ void Broker::StartFanOut(std::shared_ptr<FanOutState> state) {
          !peak_in_flight_.compare_exchange_weak(peak, current,
                                                 std::memory_order_relaxed)) {
   }
-  state->collector = FanInCollector<std::vector<SearchHit>>::Create(
+  state->collector = FanInCollector<Searcher::ScanReply>::Create(
       state->slot_partition.size(),
       [this, state](std::vector<Searcher::SearchResult> slots) {
         FinishFanOut(state, std::move(slots));
@@ -333,7 +315,7 @@ void Broker::StartFanOut(std::shared_ptr<FanOutState> state) {
                         std::make_exception_ptr(NoHealthyBackendError())));
       continue;
     }
-    TryDispatchNext(state, slot_idx, /*is_hedge=*/false);
+    TryDispatchNext(state, slot_idx, AttemptKind::kPrimary);
     // Arm the hedge alongside the primary. The timer checks the deadline
     // and the rate cap when it fires; a slot that completes first cancels
     // it. No point hedging a single-replica slot — there is no sibling.
@@ -387,7 +369,7 @@ bool Broker::HedgeBudgetAllows() const {
 }
 
 bool Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
-                             std::size_t slot_idx, bool is_hedge) {
+                             std::size_t slot_idx, AttemptKind kind) {
   Slot& slot = state->slots[slot_idx];
   const std::size_t idx =
       slot.next_candidate.fetch_add(1, std::memory_order_acq_rel);
@@ -395,8 +377,18 @@ bool Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
   const std::size_t partition = state->slot_partition[slot_idx];
   const std::size_t replica = slot.candidates[idx];
   slot.outstanding.fetch_add(1, std::memory_order_acq_rel);
+  const bool is_hedge = kind == AttemptKind::kHedge;
+  // Failovers count toward the hedge rate cap's base like primaries do.
   if (!is_hedge) {
     primary_dispatches_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (kind == AttemptKind::kFailover) {
+    state->failovers.fetch_add(1, std::memory_order_relaxed);
+    failovers_.fetch_add(1, std::memory_order_relaxed);
+    failovers_total_->Increment();
+  } else if (is_hedge) {
+    hedges_.fetch_add(1, std::memory_order_relaxed);
+    hedges_total_->Increment();
   }
   const Micros dispatched_at = MonotonicClock::Instance().NowMicros();
   Micros expected_first = 0;
@@ -414,8 +406,7 @@ bool Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
         OnAttemptResult(state, slot_idx, replica, is_hedge, dispatched_at,
                         std::move(result));
       },
-      config_.rpc_timeout_micros, &state->filter_micros, &state->io_micros,
-      &state->tier_degraded);
+      config_.rpc_timeout_micros);
   return true;
 }
 
@@ -431,10 +422,7 @@ void Broker::MaybeHedge(const std::shared_ptr<FanOutState>& state,
     hedges_capped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (TryDispatchNext(state, slot_idx, /*is_hedge=*/true)) {
-    hedges_.fetch_add(1, std::memory_order_relaxed);
-    hedges_total_->Increment();
-  }
+  TryDispatchNext(state, slot_idx, AttemptKind::kHedge);
 }
 
 void Broker::OnAttemptResult(const std::shared_ptr<FanOutState>& state,
@@ -458,15 +446,15 @@ void Broker::OnAttemptResult(const std::shared_ptr<FanOutState>& state,
       slot.CancelHedgeTimer();
       // The winning attempt's wall time is this slot's contribution to the
       // fan-out's scan stage; the slowest such slot gated the merge.
-      FoldMax(state->slowest_attempt,
-              MonotonicClock::Instance().NowMicros() - dispatched_at);
+      slot.attempt_micros =
+          MonotonicClock::Instance().NowMicros() - dispatched_at;
       if (is_hedge) {
         hedge_wins_.fetch_add(1, std::memory_order_relaxed);
         hedge_wins_total_->Increment();
         state->hedge_wins.fetch_add(1, std::memory_order_relaxed);
-        FoldMax(state->max_hedge_wait,
-                dispatched_at -
-                    slot.first_dispatched_at.load(std::memory_order_relaxed));
+        slot.hedge_wait_micros =
+            dispatched_at -
+            slot.first_dispatched_at.load(std::memory_order_relaxed);
       }
       state->collector->Complete(slot_idx, std::move(result));
     }
@@ -499,11 +487,8 @@ void Broker::OnAttemptResult(const std::shared_ptr<FanOutState>& state,
     std::lock_guard lock(slot.error_mu);
     slot.last_error = result.error;
   }
-  if (!slot.completed.load(std::memory_order_acquire) &&
-      TryDispatchNext(state, slot_idx, /*is_hedge=*/false)) {
-    state->failovers.fetch_add(1, std::memory_order_relaxed);
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-    failovers_total_->Increment();
+  if (!slot.completed.load(std::memory_order_acquire)) {
+    TryDispatchNext(state, slot_idx, AttemptKind::kFailover);
   }
   // Ordering matters: the failover dispatch (if any) bumped `outstanding`
   // before this decrement, so dropping to zero really means no attempt is
@@ -549,7 +534,17 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
   partials.reserve(slots.size());
   for (std::size_t slot = 0; slot < slots.size(); ++slot) {
     if (slots[slot].ok()) {
-      partials.push_back(*std::move(slots[slot].value));
+      // Only a winning attempt completes a slot with a value.
+      Searcher::ScanReply& scan = *slots[slot].value;
+      const Slot& won = state->slots[slot];
+      reply.slowest_attempt_micros =
+          std::max(reply.slowest_attempt_micros, won.attempt_micros);
+      reply.hedge_wait_micros =
+          std::max(reply.hedge_wait_micros, won.hedge_wait_micros);
+      reply.filter_micros = std::max(reply.filter_micros, scan.filter_micros);
+      reply.io_micros = std::max(reply.io_micros, scan.io_micros);
+      if (scan.tier_degraded) ++reply.tier_degraded;
+      partials.push_back(std::move(scan.hits));
     } else {
       ++reply.partitions_failed;
       state->span.SetError(
@@ -566,13 +561,6 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
   if (hedge_wins > 0) state->span.AddTag("hedge_wins", hedge_wins);
   // "The broker then combines the results from its subset of searchers."
   reply.hits = MergeHits(std::move(partials), state->k);
-  reply.slowest_attempt_micros =
-      state->slowest_attempt.load(std::memory_order_relaxed);
-  reply.hedge_wait_micros =
-      state->max_hedge_wait.load(std::memory_order_relaxed);
-  reply.filter_micros = state->filter_micros.load(std::memory_order_relaxed);
-  reply.io_micros = state->io_micros.load(std::memory_order_relaxed);
-  reply.tier_degraded = state->tier_degraded.load(std::memory_order_relaxed);
   reply.fanout_micros = state->watch.ElapsedMicros();
   fanout_stage_->Record(reply.fanout_micros);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);

@@ -87,16 +87,17 @@ class Broker {
     Micros slowest_attempt_micros = 0;
     Micros hedge_wait_micros = 0;
     Micros fanout_micros = 0;
-    // Slowest per-searcher filter-bitmap materialization among this broker's
-    // attempts (0 when the query carried no filter) — the blender's
-    // "searcher_filter" flight stage.
+    // The rest is folded from the ScanReply of each slot's winning attempt
+    // only; a losing hedge or a timed-out attempt contributes nothing.
+    // Slowest filter-bitmap materialization (0 when the query carried no
+    // filter) — the blender's "searcher_filter" flight stage.
     Micros filter_micros = 0;
-    // Slowest per-searcher cold-list fault time among this broker's attempts
-    // (0 on RAM-resident partitions) — the blender's "searcher_io" stage.
+    // Slowest cold-list fault time (0 on RAM-resident partitions) — the
+    // blender's "searcher_io" stage.
     Micros io_micros = 0;
-    // Attempts under this broker that skipped quarantined (corrupt) tiered
-    // lists: the answer is correct but drawn from fewer lists than asked
-    // for, so the blender marks the response degraded.
+    // Slots whose answer skipped quarantined (corrupt) tiered lists: the
+    // answer is correct but drawn from fewer lists than asked for, so the
+    // blender marks the response degraded.
     std::uint32_t tier_degraded = 0;
   };
   using SearchResult = AsyncResult<Reply>;
@@ -204,12 +205,15 @@ class Broker {
   // thread-hopping dispatch -> merge window.
   struct FanOutState;
   struct Slot;
+  enum class AttemptKind { kPrimary, kFailover, kHedge };
 
   void StartFanOut(std::shared_ptr<FanOutState> state);
   // Dispatches the slot's next untried candidate (primary, failover or
-  // hedge — they all drain the same list). False when none remain.
+  // hedge — they all drain the same list), counting the attempt by `kind`
+  // before it is sent, so no reply can overtake its own count. False when
+  // none remain.
   bool TryDispatchNext(const std::shared_ptr<FanOutState>& state,
-                       std::size_t slot_idx, bool is_hedge);
+                       std::size_t slot_idx, AttemptKind kind);
   void OnAttemptResult(const std::shared_ptr<FanOutState>& state,
                        std::size_t slot_idx, std::size_t replica,
                        bool is_hedge, Micros dispatched_at,

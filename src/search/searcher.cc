@@ -202,9 +202,13 @@ std::future<std::vector<SearchHit>> Searcher::SearchAsync(
     qos::Deadline deadline, obs::TraceContext parent) {
   // Future facade over the continuation path, for tests and tools that want
   // a blocking join; the broker drives the callback overload directly.
+  using Hits = AsyncResult<std::vector<SearchHit>>;
   auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
   SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
-              deadline, parent, std::move(done));
+              deadline, parent, [done = std::move(done)](SearchResult result) {
+                done(result.ok() ? Hits::Ok(std::move(result.value->hits))
+                                 : Hits::Fail(result.error));
+              });
   return std::move(future);
 }
 
@@ -212,10 +216,7 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
                            std::size_t nprobe, CategoryId category_filter,
                            FilterExpression filter, qos::Deadline deadline,
                            obs::TraceContext parent, SearchCallback on_done,
-                           Micros rpc_timeout_micros,
-                           std::atomic<Micros>* filter_micros_out,
-                           std::atomic<Micros>* io_micros_out,
-                           std::atomic<std::uint32_t>* tier_degraded_out) {
+                           Micros rpc_timeout_micros) {
   node_.Call(
       CallOptions{.sink = trace_sink_,
                   .parent = parent,
@@ -223,8 +224,7 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
                   .deadline = deadline,
                   .timeout_micros = rpc_timeout_micros},
       [this, query = std::move(query), k, nprobe, category_filter,
-       filter = std::move(filter), filter_micros_out, io_micros_out,
-       tier_degraded_out, deadline](obs::Span& span) {
+       filter = std::move(filter), deadline](obs::Span& span) {
         span.AddTag("k", static_cast<std::uint64_t>(k));
         if (nprobe > 0) {
           span.AddTag("nprobe", static_cast<std::uint64_t>(nprobe));
@@ -237,12 +237,13 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
         FilterScanStats fstats;
         TierScanStats tstats;
         const Stopwatch watch(MonotonicClock::Instance());
-        auto hits = Scan(query, k, nprobe, category_filter, filter,
-                         filtered ? &fstats : nullptr, deadline, &tstats);
+        ScanReply reply;
+        reply.hits = Scan(query, k, nprobe, category_filter, filter,
+                          filtered ? &fstats : nullptr, deadline, &tstats);
         const Micros elapsed = watch.ElapsedMicros();
         scan_micros_->Record(elapsed);
         scan_stage_->RecordWithExemplar(elapsed, span.context().trace_id);
-        span.AddTag("hits", static_cast<std::uint64_t>(hits.size()));
+        span.AddTag("hits", static_cast<std::uint64_t>(reply.hits.size()));
         if (tstats.lists_hit + tstats.lists_faulted > 0) {
           // Tiered partition: attribute the cold-read cost to its own stage
           // and surface per-scan tier behaviour on the span.
@@ -256,14 +257,7 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
             span.AddTag("tier_probes_dropped",
                         static_cast<std::uint64_t>(tstats.probes_dropped));
           }
-          if (io_micros_out != nullptr) {
-            Micros current = io_micros_out->load(std::memory_order_relaxed);
-            while (tstats.fault_micros > current &&
-                   !io_micros_out->compare_exchange_weak(
-                       current, tstats.fault_micros,
-                       std::memory_order_relaxed)) {
-            }
-          }
+          reply.io_micros = tstats.fault_micros;
         }
         if (tstats.lists_quarantined > 0) {
           // This scan skipped quarantined (corrupt/faulting) lists: the
@@ -272,9 +266,7 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
           // because a scan whose every probe is poisoned hits neither.
           span.AddTag("tier_quarantine_skips",
                       static_cast<std::uint64_t>(tstats.lists_quarantined));
-          if (tier_degraded_out != nullptr) {
-            tier_degraded_out->fetch_add(1, std::memory_order_relaxed);
-          }
+          reply.tier_degraded = true;
         }
         if (filtered) {
           filter_stage_->RecordWithExemplar(fstats.materialize_micros,
@@ -290,19 +282,9 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
           span.AddTag("filter_selectivity_bp",
                       static_cast<std::uint64_t>(fstats.selectivity_bp));
           span.AddTag("filter_strategy", FilterStrategyName(fstats.strategy));
-          if (filter_micros_out != nullptr) {
-            // Atomic max: hedged attempts against replicas share the sink
-            // and the slowest materialization should win the attribution.
-            Micros current =
-                filter_micros_out->load(std::memory_order_relaxed);
-            while (fstats.materialize_micros > current &&
-                   !filter_micros_out->compare_exchange_weak(
-                       current, fstats.materialize_micros,
-                       std::memory_order_relaxed)) {
-            }
-          }
+          reply.filter_micros = fstats.materialize_micros;
         }
-        return hits;
+        return reply;
       },
       [this, done = std::move(on_done)](SearchResult result) {
         // This is the bottom tier, so a DeadlineExceededError here was

@@ -153,28 +153,31 @@ class Searcher {
   // `rpc_timeout_micros` (> 0) bounds this one call at the RPC layer: if no
   // reply lands in time — the fabric dropped a message, or the scan is stuck
   // behind a backlog — `on_done` fires with RpcTimeoutError instead of
-  // never. A late real reply is then suppressed, not double-delivered.
-  // `filter_micros_out`, when non-null, receives (via atomic max, so
-  // concurrent hedged attempts fold) the cost of materializing the filter
-  // bitmap — the broker forwards it so the blender can attribute a
-  // "searcher_filter" stage in the flight record. The pointee must outlive
-  // the callback (the broker owns it in its per-request fan-out state).
-  // `io_micros_out` is the tiered-serving twin: the cold-list fault time of
-  // this scan (0 when the partition is RAM-resident), max-folded the same
-  // way into the blender's "searcher_io" stage. `tier_degraded_out`, when
-  // non-null, is incremented iff this scan skipped quarantined lists — the
-  // integrity rung of the degradation ladder; the broker folds it into the
-  // reply so the blender marks the response degraded (results are correct
-  // but drawn from fewer lists than requested).
-  using SearchResult = AsyncResult<std::vector<SearchHit>>;
+  // never. A late real reply is then suppressed, not double-delivered, and
+  // its scan accounting goes with it: everything the scan reports travels
+  // in its own ScanReply, so a scan that outlives its caller's interest
+  // touches no caller state.
+  //
+  // ScanReply carries the partition's top k plus this scan's accounting,
+  // which the broker folds over the attempts that won their slots:
+  // `filter_micros` is the cost of materializing the filter bitmap (0 for
+  // an unfiltered query) — the blender's "searcher_filter" flight stage;
+  // `io_micros` is the cold-list fault time of a tiered partition (0 when
+  // RAM-resident) — its "searcher_io" stage; `tier_degraded` is set iff the
+  // scan skipped quarantined lists — the integrity rung of the degradation
+  // ladder (results are correct but drawn from fewer lists than requested).
+  struct ScanReply {
+    std::vector<SearchHit> hits;
+    Micros filter_micros = 0;
+    Micros io_micros = 0;
+    bool tier_degraded = false;
+  };
+  using SearchResult = AsyncResult<ScanReply>;
   using SearchCallback = std::function<void(SearchResult)>;
   void SearchAsync(FeatureVector query, std::size_t k, std::size_t nprobe,
                    CategoryId category_filter, FilterExpression filter,
                    qos::Deadline deadline, obs::TraceContext parent,
-                   SearchCallback on_done, Micros rpc_timeout_micros = 0,
-                   std::atomic<Micros>* filter_micros_out = nullptr,
-                   std::atomic<Micros>* io_micros_out = nullptr,
-                   std::atomic<std::uint32_t>* tier_degraded_out = nullptr);
+                   SearchCallback on_done, Micros rpc_timeout_micros = 0);
 
   // In-process search (tests / exhaustive ground truth), bypassing the node.
   std::vector<SearchHit> SearchLocal(

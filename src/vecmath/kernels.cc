@@ -506,6 +506,11 @@ const DistanceKernels kAvx2Kernels = {
 // there is no scalar tail at all on the pairwise kernels.
 // ---------------------------------------------------------------------------
 
+// GCC 12 false positive on `__Y` inside avx512fintrin's _mm512_shuffle_f32x4.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
 __attribute__((target("avx512f"))) float L2SqAvx512(const float* a,
                                                     const float* b,
                                                     std::size_t n) noexcept {
@@ -855,6 +860,8 @@ const DistanceKernels kAvx512Kernels = {
     L2SqAvx512,      IpAvx512,         L2SqBatch4Avx512,
     L2SqScanAvx512,  L2SqScanFilterAvx512,
     PqAdcScanScalar, FilterLeAvx512,   KernelTier::kAvx512};
+
+#pragma GCC diagnostic pop
 
 #endif  // JDVS_KERNELS_X86
 

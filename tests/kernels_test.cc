@@ -1,14 +1,17 @@
 // Property tests for the runtime-dispatched kernel layer: every SIMD tier
 // must agree with scalar within tolerance on every kernel and dimension
 // (including remainder lanes), the ADC scan must match per-candidate table
-// lookups, the aligned scan-block storage must uphold its layout contract,
-// and the float64-accumulated norms must survive large-magnitude inputs.
+// lookups, the aligned scan-block storage must uphold its layout contract
+// (and its lock-free reader contract under a concurrent writer), and the
+// float64-accumulated norms must survive large-magnitude inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -407,6 +410,27 @@ TEST(ScanBlockTest, RoundTripsEntriesAcrossChunks) {
             48 * (kStride + sizeof(LocalId) + sizeof(float)));
 }
 
+TEST(ScanBlockTest, ExpansionCountMatchesDoublings) {
+  // Chunks hold 16, 32, 64, 128, ... entries, so the block grows exactly
+  // on the 17th, 49th, 113th and 241st append and on no other.
+  const std::vector<std::uint8_t> payload(4, 0);
+  ScanBlock block(payload.size());
+  std::uint64_t growths = 0;
+  std::size_t capacity = 16;
+  for (LocalId id = 0; id < 241; ++id) {
+    block.Append(id, payload.data());
+    if (block.size() > capacity) {
+      ++growths;
+      capacity += std::size_t{16} << growths;
+    }
+    EXPECT_EQ(block.chunk_growths(), growths)
+        << "after " << block.size() << " appends";
+  }
+  EXPECT_EQ(block.chunk_growths(), 4u);
+  EXPECT_EQ(block.memory_bytes(),
+            496 * (payload.size() + sizeof(LocalId) + sizeof(float)));
+}
+
 TEST(ScanBlockTest, ForEachRunVisitsAllEntriesInOrderWithAlignedRuns) {
   // Run bases are 64-byte aligned when max_run_entries * stride is a
   // cache-line multiple: 8 * 8 = 64 here.
@@ -435,6 +459,65 @@ TEST(ScanBlockTest, ForEachRunVisitsAllEntriesInOrderWithAlignedRuns) {
   EXPECT_EQ(run_sizes, (std::vector<std::size_t>{8, 8, 4}));
   ASSERT_EQ(seen.size(), kEntries);
   for (std::size_t i = 0; i < kEntries; ++i) EXPECT_EQ(seen[i], i);
+}
+
+// Figure 9's property on the served list type: a single writer grows the
+// block through many chunk doublings while readers scan it without a lock,
+// and every scan sees a prefix of the appended sequence with every entry
+// complete. Under TSan this also checks the publication order: an Append
+// that published size_ before writing the entry would race with the
+// readers' loads of that entry.
+TEST(ScanBlockTest, ReadersNeverSeePartialOrReorderedPrefix) {
+  // 2^18 entries need 15 chunks (16 + 32 + ... + 2^18 entries), i.e. 14
+  // growths.
+  constexpr std::size_t kEntries = std::size_t{1} << 18;
+  constexpr int kReaders = 4;
+  const auto payload_for = [](LocalId id) {
+    return std::uint64_t{id} * 0x9E3779B97F4A7C15ull + 1;
+  };
+  ScanBlock block(sizeof(std::uint64_t));
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad_runs{0};
+  std::atomic<std::uint64_t> bad_entries{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) {
+        LocalId expected = 0;
+        block.ForEachRun([&](const LocalId* ids, const std::uint8_t* payload,
+                             const float* aux, std::size_t count) {
+          bool in_order = true;
+          for (std::size_t j = 0; j < count; ++j) {
+            const LocalId id = ids[j];
+            if (id != expected + j) in_order = false;
+            std::uint64_t value = 0;
+            std::memcpy(&value, payload + j * sizeof(value), sizeof(value));
+            if (value != payload_for(id) ||
+                aux[j] != static_cast<float>(id)) {
+              bad_entries.fetch_add(1);
+            }
+          }
+          if (!in_order) bad_runs.fetch_add(1);
+          expected += static_cast<LocalId>(count);
+        });
+      }
+    });
+  }
+  // Start appending only once every reader is scanning, so the growth
+  // overlaps the scans.
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (LocalId id = 0; id < kEntries; ++id) {
+    const std::uint64_t payload = payload_for(id);
+    block.Append(id, &payload, static_cast<float>(id));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(bad_runs.load(), 0u);
+  EXPECT_EQ(bad_entries.load(), 0u);
+  EXPECT_EQ(block.size(), kEntries);
+  EXPECT_EQ(block.chunk_growths(), 14u);
 }
 
 }  // namespace

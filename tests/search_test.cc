@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -359,6 +362,140 @@ TEST(BrokerTest, PartitionFailureWhenAllReplicasDown) {
   for (const auto& hit : hits) {
     EXPECT_EQ(Fnv1a64(hit.image_url) % 2, 0u);
   }
+}
+
+// A tiered replica of MiniCluster's partition A whose every fault-in fails:
+// each scan quarantines or skips the lists it probes, so every answer it
+// gives is marked degraded.
+class FailingTieredReplica {
+ public:
+  FailingTieredReplica(MiniCluster& mini, FaultInjector& injector)
+      : path_((std::filesystem::temp_directory_path() /
+               ("jdvs_failing_tier_" + std::to_string(::getpid()) + ".snap"))
+                  .string()) {
+    mini.searcher_a->SaveIndexSnapshot(path_);
+    injector.SetStorage("s-tiered-bad",
+                        StorageFaults{.fault_in_error_probability = 1.0});
+    Searcher::Config config;
+    config.fault_injector = &injector;
+    searcher_ = std::make_unique<Searcher>("s-tiered-bad", config,
+                                           mini.features,
+                                           mini.searcher_a->partition_filter());
+    searcher_->InstallFromTieredSnapshot(path_, /*resident_budget_bytes=*/1);
+  }
+  ~FailingTieredReplica() {
+    searcher_.reset();
+    std::filesystem::remove(path_);
+  }
+  FailingTieredReplica(const FailingTieredReplica&) = delete;
+  FailingTieredReplica& operator=(const FailingTieredReplica&) = delete;
+
+  Searcher& searcher() { return *searcher_; }
+
+ private:
+  std::string path_;
+  std::unique_ptr<Searcher> searcher_;
+};
+
+// The broker's full reply (the future facade returns only the hits).
+Broker::Reply SearchForReply(Broker& broker, FeatureVector query) {
+  auto [done, reply] = PromiseCallback<Broker::Reply>();
+  broker.SearchAsync(std::move(query), /*k=*/10, /*nprobe=*/0,
+                     kNoCategoryFilter, FilterExpression{}, qos::Deadline{},
+                     obs::TraceContext{}, std::move(done));
+  return reply.get();
+}
+
+// A 2 ms attempt timeout answers the slot while the searcher's request hop
+// still has 28 ms to go, so the fan-out finishes and frees its state before
+// the scan runs. The late filtered scan must touch none of that state: its
+// accounting rides in its own reply, which the timed-out call drops. (A scan
+// that wrote through pointers into the fan-out state is a heap-use-after-free
+// under ASan.)
+TEST(BrokerTest, LateScanAfterAttemptTimeoutTouchesNoFanOutState) {
+  FaultInjector injector(/*seed=*/5);
+  MiniCluster mini;
+  injector.SetNode(mini.searcher_b->name(),
+                   LinkFaults{.added_latency_micros = 30'000});
+  mini.searcher_b->node().set_fault_injector(&injector);
+  Broker::Config bc;
+  bc.rpc_timeout_micros = 2'000;
+  Broker broker("b-timeout", bc);
+  broker.AddPartition({mini.searcher_b.get()});
+
+  const auto record = mini.catalog.Get(20);
+  FilterExpression filter;
+  filter.WithMin(FilterField::kSales, 0);
+  const auto hits =
+      broker
+          .SearchAsync(mini.embedder.ExtractQuery(record->id,
+                                                  record->category, 2),
+                       /*k=*/10, /*nprobe=*/0, kNoCategoryFilter, filter)
+          .get();
+  EXPECT_TRUE(hits.empty());
+  EXPECT_EQ(broker.rpc_timeouts(), 1u);
+  EXPECT_EQ(broker.partition_failures(), 1u);
+  // Let the delayed scan run and its reply come back.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+}
+
+// A searcher that skips quarantined lists marks its broker reply degraded,
+// and the blender flags the response even though both partitions answered.
+TEST(BlenderTest, QuarantineSkipMarksResponseDegraded) {
+  FaultInjector injector(/*seed=*/6);
+  MiniCluster mini;
+  FailingTieredReplica tiered(mini, injector);
+  Broker broker("b-tier", Broker::Config{});
+  broker.AddPartition({&tiered.searcher()});
+  broker.AddPartition({mini.searcher_b.get()});
+  Blender::Config bc;
+  bc.default_k = 6;
+  Blender blender("bl-tier", bc, mini.embedder, mini.detector,
+                  std::vector<Broker*>{&broker});
+
+  const auto record = mini.catalog.Get(20);
+  const Broker::Reply reply = SearchForReply(
+      broker, mini.embedder.ExtractQuery(record->id, record->category, 2));
+  EXPECT_EQ(reply.partitions_failed, 0u);
+  EXPECT_GE(reply.tier_degraded, 1u);
+
+  const QueryResponse response = blender.Search(mini.QueryFor(20));
+  EXPECT_EQ(response.broker_failures, 0u);
+  EXPECT_TRUE(response.degraded);
+}
+
+// The failing tiered replica is partition A's primary, 10 ms away; a fixed
+// 1 ms hedge to its healthy heap sibling wins the slot. Partition B is 30 ms
+// away, so the fan-out is still open when the loser's degraded scan runs.
+// Only the winning attempt of a slot speaks for it: the reply is not
+// degraded.
+TEST(BrokerTest, LosingHedgeDoesNotMarkReplyDegraded) {
+  FaultInjector injector(/*seed=*/7);
+  MiniCluster mini;
+  FailingTieredReplica tiered(mini, injector);
+  injector.SetNode(tiered.searcher().name(),
+                   LinkFaults{.added_latency_micros = 10'000});
+  tiered.searcher().node().set_fault_injector(&injector);
+  injector.SetNode(mini.searcher_b->name(),
+                   LinkFaults{.added_latency_micros = 30'000});
+  mini.searcher_b->node().set_fault_injector(&injector);
+  Broker::Config bc;
+  bc.enable_hedging = true;
+  bc.hedge_delay_micros = 1'000;
+  bc.hedge_rate_cap = 0.0;  // uncapped
+  Broker broker("b-hedge", bc);
+  // The rotation cursor starts at replica 0: the first fan-out's primary is
+  // the tiered replica.
+  broker.AddPartition({&tiered.searcher(), mini.searcher_a.get()});
+  broker.AddPartition({mini.searcher_b.get()});
+
+  const auto record = mini.catalog.Get(20);
+  const Broker::Reply reply = SearchForReply(
+      broker, mini.embedder.ExtractQuery(record->id, record->category, 2));
+  ASSERT_EQ(broker.hedge_wins(), 1u);
+  EXPECT_EQ(reply.partitions_failed, 0u);
+  EXPECT_FALSE(reply.hits.empty());
+  EXPECT_EQ(reply.tier_degraded, 0u);
 }
 
 TEST(BlenderTest, EndToEndQueryFindsSubject) {
