@@ -12,10 +12,9 @@
 // while reader threads continuously scan, comparing ScanBlock against a
 // mutex-guarded growing std::vector with the same payload per entry.
 // Reports writer throughput, aggregate reader scan throughput, and the worst
-// single append. A ScanBlock growth allocates and zero-fills its doubled
-// chunk on the writer thread, so its worst append is that allocation; the
-// vector's is a reallocation under the lock or a wait behind a scanning
-// reader. A mutex does not queue its waiters: a reader that releases it
+// single append. A ScanBlock growth allocates its doubled chunk on the
+// writer thread, so its worst append is that allocation; the vector's is a
+// reallocation under the lock or a wait behind a scanning reader. A mutex does not queue its waiters: a reader that releases it
 // takes it straight back, so on a multi-core host the vector's writer can
 // starve for as long as readers keep scanning. The window therefore also
 // closes by time, and the entries the writer appended in it are printed.

@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
     tc.num_categories = 10;
     tc.seed = 31 + static_cast<std::uint64_t>(day);  // a different day
     DayTraceGenerator generator(tc, cluster.catalog());
+    const std::uint64_t published_before = cluster.updates_published();
     generator.Generate(
         [&](const TraceEvent& e) { cluster.PublishUpdate(e.message); });
     if (!cluster.WaitForUpdatesDrained(120'000'000)) {
@@ -65,9 +66,6 @@ int main(int argc, char** argv) {
     const RealTimeIndexerCounters now = cluster.TotalUpdateCounters();
     RealTimeIndexerCounters delta = now;
     // Day-over-day delta.
-    delta.attribute_updates -= previous.attribute_updates;
-    delta.additions -= previous.additions;
-    delta.deletions -= previous.deletions;
     delta.images_added -= previous.images_added;
     delta.images_revalidated -= previous.images_revalidated;
     delta.features_extracted -= previous.features_extracted;
@@ -79,11 +77,9 @@ int main(int argc, char** argv) {
     cluster.RunFullIndexingCycle();
     const Micros rebuild = watch.ElapsedMicros();
 
-    // Counters aggregate over every searcher (each consumes the full
-    // stream); divide back to actual message count.
     std::printf("%4d %9llu %9llu %9llu %9llu %10zu %9.2f %10s\n", day,
-                (unsigned long long)(delta.TotalMessages() /
-                                     cluster.num_searchers()),
+                (unsigned long long)(cluster.updates_published() -
+                                     published_before),
                 (unsigned long long)delta.images_added,
                 (unsigned long long)delta.images_revalidated,
                 (unsigned long long)delta.features_extracted,

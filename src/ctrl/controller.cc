@@ -152,7 +152,7 @@ void ClusterController::RecoverReplica(std::size_t partition,
     // the catch-up replay.
     std::shared_ptr<Subscription> subscription;
     if (cluster_.realtime_running()) {
-      subscription = cluster_.SubscribeUpdates();
+      subscription = cluster_.SubscribeUpdates(partition);
     }
     // Recovery catch-up is background work: the pacer yields between replay
     // batches while the cluster is degraded, so reviving a replica never
@@ -208,7 +208,7 @@ void ClusterController::RepairReplica(std::size_t partition,
     searcher.StopConsuming();
     std::shared_ptr<Subscription> subscription;
     if (cluster_.realtime_running()) {
-      subscription = cluster_.SubscribeUpdates();
+      subscription = cluster_.SubscribeUpdates(partition);
     }
     Micros backoff = 0;
     const std::size_t replayed =
@@ -403,7 +403,7 @@ RolloutReport ClusterController::DeployFullIndex() {
       searcher.StopConsuming();
       std::shared_ptr<Subscription> subscription;
       if (cluster_.realtime_running()) {
-        subscription = cluster_.SubscribeUpdates();
+        subscription = cluster_.SubscribeUpdates(p);
       }
       searcher.InstallFromSnapshot(SnapshotPath(p));
       if (cluster_.realtime_running()) {

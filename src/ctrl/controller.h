@@ -7,8 +7,8 @@
 // operator action:
 //
 //   1. clear the node's fail switch (the "process restart"),
-//   2. subscribe a fresh update-topic subscription (buffers new updates
-//      while the index restores),
+//   2. subscribe afresh to the partition's update topic (buffers the new
+//      updates routed to the partition while the index restores),
 //   3. install an index — the partition's base snapshot when one exists,
 //      else a snapshot taken from a serving sibling replica, else a fresh
 //      build from the catalog,

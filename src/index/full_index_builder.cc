@@ -7,6 +7,18 @@
 
 namespace jdvs {
 
+std::vector<std::string> ApplyToCatalog(const ProductUpdateMessage& message,
+                                        ProductCatalog& catalog,
+                                        ImageStore& image_store) {
+  std::vector<std::string> urls = catalog.Apply(message);
+  if (message.type == UpdateType::kAddProduct) {
+    for (const std::string& url : message.image_urls) {
+      image_store.Put(url, message.product_id, message.category_id);
+    }
+  }
+  return urls;
+}
+
 FullIndexBuilder::FullIndexBuilder(ProductCatalog& catalog,
                                    ImageStore& image_store, FeatureDb& features,
                                    const FullIndexBuilderConfig& config,
@@ -21,35 +33,7 @@ std::uint64_t FullIndexBuilder::ApplyMessageLog(MessageLog& log) {
   std::uint64_t applied = 0;
   log.Replay([&](const ProductUpdateMessage& message) {
     ++applied;
-    switch (message.type) {
-      case UpdateType::kAttributeUpdate:
-        catalog_.UpdateAttributes(message.product_id, message.attributes,
-                                  message.detail_url);
-        break;
-      case UpdateType::kAddProduct: {
-        if (catalog_.Contains(message.product_id)) {
-          catalog_.SetOnMarket(message.product_id, true);
-          catalog_.UpdateAttributes(message.product_id, message.attributes,
-                                    message.detail_url);
-        } else {
-          ProductRecord record;
-          record.id = message.product_id;
-          record.category = message.category_id;
-          record.attributes = message.attributes;
-          record.detail_url = message.detail_url;
-          record.image_urls = message.image_urls;
-          record.on_market = true;
-          catalog_.Upsert(std::move(record));
-        }
-        for (const std::string& url : message.image_urls) {
-          image_store_.Put(url, message.product_id, message.category_id);
-        }
-        break;
-      }
-      case UpdateType::kRemoveProduct:
-        catalog_.SetOnMarket(message.product_id, false);
-        break;
-    }
+    ApplyToCatalog(message, catalog_, image_store_);
   });
   log.Clear();
   return applied;

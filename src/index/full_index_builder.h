@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/kmeans.h"
 #include "cluster/quantizer.h"
@@ -41,6 +43,14 @@ struct FullIndexBuilderConfig {
   KMeansConfig kmeans;
   std::uint64_t seed = 123;
 };
+
+// Applies one update message to the catalog (ProductCatalog::Apply) and
+// registers an addition's images in the image store: the one catalog apply
+// behind both the publish path and the day-log replay. Returns the
+// product's image URLs after the apply, as ProductCatalog::Apply does.
+std::vector<std::string> ApplyToCatalog(const ProductUpdateMessage& message,
+                                        ProductCatalog& catalog,
+                                        ImageStore& image_store);
 
 class FullIndexBuilder {
  public:

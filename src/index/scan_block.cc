@@ -36,9 +36,12 @@ void ScanBlock::Append(LocalId id, const void* payload, float aux) {
     c.capacity = (chunks_.empty() || chunks_.back().frozen)
                      ? kFirstChunkEntries
                      : chunks_.back().capacity * 2;
-    c.owned_payload = AllocateAligned<std::uint8_t>(c.capacity * stride_);
-    c.owned_ids = AllocateAligned<LocalId>(c.capacity);
-    c.owned_aux = AllocateAligned<float>(c.capacity);
+    // No zero-fill: every entry is written in full below before size_
+    // publishes it, and no reader looks past the published size.
+    c.owned_payload =
+        AllocateAlignedUninitialized<std::uint8_t>(c.capacity * stride_);
+    c.owned_ids = AllocateAlignedUninitialized<LocalId>(c.capacity);
+    c.owned_aux = AllocateAlignedUninitialized<float>(c.capacity);
     c.payload = c.owned_payload.get();
     c.ids = c.owned_ids.get();
     c.aux = c.owned_aux.get();

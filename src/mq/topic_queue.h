@@ -1,10 +1,10 @@
 // Topic-based message queue (JMQ stand-in).
 //
-// Producers publish ProductUpdateMessages to a topic; each subscriber group
-// member pops from a shared bounded queue (work-sharing, like one consumer
-// group). A separate fan-out mode clones the message to every subscription,
-// which is how one update stream feeds many searcher partitions (the
-// partition owner filters by image-URL hash).
+// Producers publish ProductUpdateMessages to a topic, and every live
+// subscription of the topic receives its own copy in a bounded queue
+// (fan-out). The cluster keeps one topic per index partition, whose
+// subscribers are that partition's replicas, and publishes each update only
+// to the topics of the partitions that own one of its product's images.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +81,7 @@ class TopicQueue {
   std::unordered_map<std::string, Topic> topics_;
   std::size_t capacity_;
   obs::Registry* registry_;
-  obs::Counter* published_;  // jdvs_mq_published_total
+  obs::Counter* published_;  // jdvs_mq_published_total: one per Publish call
   obs::Gauge* depth_;        // jdvs_mq_queue_depth: delivered, not yet popped
 };
 

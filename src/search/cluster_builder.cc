@@ -4,16 +4,12 @@
 #include <sstream>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace jdvs {
-namespace {
-
-constexpr const char* kUpdateTopic = "product-updates";
-
-}  // namespace
 
 VisualSearchCluster::VisualSearchCluster(const ClusterConfig& config)
     : config_(config),
@@ -50,6 +46,7 @@ VisualSearchCluster::VisualSearchCluster(const ClusterConfig& config)
       config_.replicas_per_partition, 1);
   config_.replicas_per_partition = replicas;
   for (std::size_t p = 0; p < config_.num_partitions; ++p) {
+    partition_topics_.push_back("product-updates-p" + std::to_string(p));
     for (std::size_t r = 0; r < replicas; ++r) {
       Searcher::Config sc;
       sc.threads = config_.searcher_threads;
@@ -64,10 +61,11 @@ VisualSearchCluster::VisualSearchCluster(const ClusterConfig& config)
       replica_states_->Register(searchers_.back()->name());
     }
   }
-  // Drain waiters park on drain_cv_ and consumers notify per message; the
-  // empty lock_guard orders the notify after a waiter's predicate check, so
-  // no wakeup is ever missed (messages_consumed_ is bumped before this
-  // listener runs).
+  // Drain waiters park on drain_cv_ and consumers notify per applied
+  // message; the empty lock_guard orders the notify after a waiter's
+  // predicate check, so no wakeup is ever missed (messages_consumed_ is
+  // bumped before this listener runs). Counts of unrouted messages move
+  // under drain_mu_ inside PublishUpdate and need no notify.
   for (const auto& searcher : searchers_) {
     searcher->SetProgressListener([this] {
       { std::lock_guard lock(drain_mu_); }
@@ -297,14 +295,16 @@ void VisualSearchCluster::Start() {
   if (started_) return;
   started_ = true;
   if (!config_.realtime_enabled) return;
-  for (const auto& searcher : searchers_) {
-    searcher->StartConsuming(topic_.Subscribe(kUpdateTopic));
+  for (std::size_t p = 0; p < config_.num_partitions; ++p) {
+    for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
+      searcher(p, r).StartConsuming(SubscribeUpdates(p));
+    }
   }
 }
 
 void VisualSearchCluster::Stop() {
   if (!started_) return;
-  topic_.CloseTopic(kUpdateTopic);
+  topic_.CloseAll();
   for (const auto& searcher : searchers_) searcher->StopConsuming();
   started_ = false;
 }
@@ -318,38 +318,6 @@ QueryResponse VisualSearchCluster::Query(const QueryImage& query,
   return front_end_->Next().Search(query, options);
 }
 
-void VisualSearchCluster::ApplyToCatalog(const ProductUpdateMessage& message) {
-  switch (message.type) {
-    case UpdateType::kAttributeUpdate:
-      catalog_.UpdateAttributes(message.product_id, message.attributes,
-                                message.detail_url);
-      break;
-    case UpdateType::kAddProduct: {
-      if (catalog_.Contains(message.product_id)) {
-        catalog_.SetOnMarket(message.product_id, true);
-        catalog_.UpdateAttributes(message.product_id, message.attributes,
-                                  message.detail_url);
-      } else {
-        ProductRecord record;
-        record.id = message.product_id;
-        record.category = message.category_id;
-        record.attributes = message.attributes;
-        record.detail_url = message.detail_url;
-        record.image_urls = message.image_urls;
-        record.on_market = true;
-        catalog_.Upsert(std::move(record));
-      }
-      for (const std::string& url : message.image_urls) {
-        image_store_.Put(url, message.product_id, message.category_id);
-      }
-      break;
-    }
-    case UpdateType::kRemoveProduct:
-      catalog_.SetOnMarket(message.product_id, false);
-      break;
-  }
-}
-
 void VisualSearchCluster::PublishUpdate(ProductUpdateMessage message) {
   // Real-time traces: the publish is the root span; each searcher's apply
   // becomes an "rt.apply" child via the context carried in the message.
@@ -360,18 +328,51 @@ void VisualSearchCluster::PublishUpdate(ProductUpdateMessage message) {
     message.trace_id = span.context().trace_id;
     message.parent_span_id = span.context().span_id;
   }
-  ApplyToCatalog(message);
+  const std::vector<std::string> product_urls =
+      ApplyToCatalog(message, catalog_, image_store_);
   // The day log assigns the sequence; stamp it onto the published copy so
   // searchers track their high-water mark against the log.
   message.sequence = day_log_.Append(message);
-  updates_published_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.realtime_enabled && started_) {
-    topic_.Publish(kUpdateTopic, std::move(message));
+  if (!realtime_running()) {
+    updates_published_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Route: a partition receives the message when it holds, or is about to
+  // hold, an image of the product. The record's URLs after the catalog apply
+  // cover the images any partition can hold (an addition's included); the
+  // message's own URLs cover any other image it names.
+  std::vector<char> routed(config_.num_partitions, 0);
+  for (const std::vector<std::string>* urls :
+       {&product_urls, &std::as_const(message.image_urls)}) {
+    for (const std::string& url : *urls) {
+      routed[partitioner_.PartitionOf(url)] = 1;
+    }
+  }
+  std::size_t num_routed = std::count(routed.begin(), routed.end(), 1);
+  {
+    // A searcher of an unrouted partition has nothing to apply, so it counts
+    // the message now. The published count moves under the same lock, so a
+    // drain check never sees one without the other.
+    std::lock_guard lock(drain_mu_);
+    updates_published_.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t p = 0; p < config_.num_partitions; ++p) {
+      if (routed[p] != 0) continue;
+      for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
+        searcher(p, r).CountUnrouted();
+      }
+    }
+  }
+  for (std::size_t p = 0; p < config_.num_partitions && num_routed > 0; ++p) {
+    if (routed[p] == 0) continue;
+    // The last topic takes the message by move.
+    topic_.Publish(partition_topics_[p],
+                   --num_routed == 0 ? std::move(message) : message);
   }
 }
 
-std::shared_ptr<Subscription> VisualSearchCluster::SubscribeUpdates() {
-  return topic_.Subscribe(kUpdateTopic);
+std::shared_ptr<Subscription> VisualSearchCluster::SubscribeUpdates(
+    std::size_t partition) {
+  return topic_.Subscribe(partition_topics_.at(partition));
 }
 
 FullIndexBuilder VisualSearchCluster::FullBuilder() {
@@ -406,14 +407,17 @@ void VisualSearchCluster::RunFullIndexingCycle() {
 
 bool VisualSearchCluster::WaitForUpdatesDrained(Micros timeout_micros) {
   if (!config_.realtime_enabled || !started_) return true;
-  const std::uint64_t published =
-      updates_published_.load(std::memory_order_relaxed);
   // Event-driven: consumers notify drain_cv_ per message (see the progress
   // listeners wired in the constructor), so the waiter parks instead of
   // burning a 1ms poll loop — and wakes the moment the last message lands.
+  // The target is read under drain_mu_, where it moves together with the
+  // publish-time counts: against a target read earlier, a later message's
+  // publish-time count could stand in for a routed one still in flight.
   std::unique_lock lock(drain_mu_);
   return drain_cv_.wait_for(
       lock, std::chrono::microseconds(timeout_micros), [&] {
+        const std::uint64_t published =
+            updates_published_.load(std::memory_order_relaxed);
         for (const auto& searcher : searchers_) {
           if (searcher->messages_consumed() < published) return false;
         }
@@ -449,7 +453,8 @@ std::string VisualSearchCluster::StatusReport() const {
      << index.largest_list << "\n";
 
   const RealTimeIndexerCounters updates = TotalUpdateCounters();
-  os << "updates: " << updates.TotalMessages() << " messages ("
+  os << "updates: " << updates_published_ << " published, "
+     << updates.TotalMessages() << " partition applies ("
      << updates.attribute_updates << " update / " << updates.additions
      << " add / " << updates.deletions << " delete), " << updates.images_added
      << " images added, " << updates.images_revalidated << " revalidated, "

@@ -1,11 +1,11 @@
 // VisualSearchCluster: the whole Figure 1 system wired together.
 //
 // Owns the data substrates (catalog, image store, feature DB, embedder), the
-// indexing pipelines (daily message log + real-time topic queue + weekly
-// full indexing), and the 3-level search topology (load balancer -> blenders
-// -> brokers -> searchers with replicated partitions). The paper's testbed —
-// 1 Nginx front end, 6 blender/broker servers, 20 searchers — is the default
-// topology.
+// indexing pipelines (daily message log + real-time topic queue with one
+// topic per partition + weekly full indexing), and the 3-level search
+// topology (load balancer -> blenders -> brokers -> searchers with
+// replicated partitions). The paper's testbed — 1 Nginx front end, 6
+// blender/broker servers, 20 searchers — is the default topology.
 #pragma once
 
 #include <condition_variable>
@@ -169,11 +169,12 @@ class VisualSearchCluster {
   // searcher (parallel across searchers).
   void BuildAndInstallFullIndexes();
 
-  // Subscribes every searcher to the update topic and starts their consumer
-  // loops (no-op when realtime is disabled).
+  // Subscribes every searcher to its partition's update topic and starts
+  // their consumer loops (no-op when realtime is disabled).
   void Start();
 
-  // Stops consumers. Idempotent; also run by the destructor.
+  // Closes every update topic and stops consumers. Idempotent; also run by
+  // the destructor.
   void Stop();
 
   // ---- Runtime operations ----
@@ -183,8 +184,14 @@ class VisualSearchCluster {
   QueryResponse Query(const QueryImage& query, const QueryOptions& options);
 
   // Product update: applied to the product catalog and image store, buffered
-  // in the day log (Figure 2), and — when real-time indexing is enabled —
-  // published to the searcher update topic (Figure 4).
+  // in the day log (Figure 2), and — when real-time indexing is running —
+  // published to the update topics of the partitions that hold, or will
+  // hold, an image of its product (Figure 4): those named by the catalog
+  // record after the apply or by the message itself. Every replica of such
+  // a partition receives it, in publish order. Every other searcher counts
+  // it as consumed before this returns, since it has nothing to apply.
+  // Single publisher: sequences and per-partition order follow the call
+  // order.
   void PublishUpdate(ProductUpdateMessage message);
 
   // End-of-day / periodic full indexing (Figure 2-3): replays the day log,
@@ -193,15 +200,18 @@ class VisualSearchCluster {
   // ever learns about updates.
   void RunFullIndexingCycle();
 
-  // Blocks until every searcher has drained its update subscription (or the
-  // timeout elapses); returns true when drained.
+  // Blocks until every searcher's messages_consumed() reaches
+  // updates_published(), i.e. every published message has been applied by
+  // each replica of each partition it was routed to (or the timeout
+  // elapses); returns true when drained.
   bool WaitForUpdatesDrained(Micros timeout_micros = 30'000'000);
 
   // ---- Control-plane hooks (used by ctrl::ClusterController) ----
 
-  // Fresh subscription to the update topic (what a recovering searcher's
-  // consumer loop reads). Pre-closed when the topic was already shut down.
-  std::shared_ptr<Subscription> SubscribeUpdates();
+  // Fresh subscription to `partition`'s update topic (what a recovering
+  // searcher's consumer loop reads). Pre-closed when the topics were already
+  // shut down.
+  std::shared_ptr<Subscription> SubscribeUpdates(std::size_t partition);
   // True while the update topic is live (realtime on and Start() ran).
   bool realtime_running() const {
     return started_ && config_.realtime_enabled;
@@ -283,7 +293,6 @@ class VisualSearchCluster {
   std::string StatusReport() const;
 
  private:
-  void ApplyToCatalog(const ProductUpdateMessage& message);
   void BuildAndInstall(std::shared_ptr<const CoarseQuantizer> quantizer);
   // Full-index builder over this cluster's substrate and build config.
   FullIndexBuilder FullBuilder();
@@ -305,6 +314,7 @@ class VisualSearchCluster {
   UrlPartitioner partitioner_;
   MessageLog day_log_;
   TopicQueue topic_;
+  std::vector<std::string> partition_topics_;  // topic name per partition
 
   std::shared_ptr<const CoarseQuantizer> quantizer_;
 

@@ -191,7 +191,8 @@ class Searcher {
   std::vector<SearchHit> SearchExhaustiveLocal(
       FeatureView query, std::size_t k, const FilterExpression& filter) const;
 
-  // Starts the message-queue consumer loop on a dedicated thread.
+  // Starts the message-queue consumer loop on a dedicated thread, reading
+  // this partition's update topic.
   void StartConsuming(std::shared_ptr<Subscription> subscription);
   // Stops the consumer (closes the subscription and joins the thread).
   void StopConsuming();
@@ -226,11 +227,28 @@ class Searcher {
   // the installed index's TieredListStore; writes nothing when the index is
   // RAM-resident (or not installed).
   void RenderTierStatus(std::ostream& os) const;
+  // Published messages this searcher has accounted for. A message routed to
+  // this partition counts once the consumer has applied (or deduped) it; any
+  // other message counts when it is published (CountUnrouted). Catch-up
+  // replay counts every message it visits. So the count reaches the
+  // cluster's updates_published() once every message routed here is
+  // applied, and not before.
   std::uint64_t messages_consumed() const {
     return messages_consumed_.load(std::memory_order_relaxed);
   }
-  // Highest applied update sequence (the recovery high-water mark); 0 means
-  // no sequenced update has been applied since the last install/crash.
+  // Counts one published message that was not routed to this partition: no
+  // image of its product can live here, so there is nothing to apply. The
+  // publisher calls this; it fires no progress listener.
+  void CountUnrouted() {
+    messages_consumed_.fetch_add(1, std::memory_order_relaxed);
+    consumed_total_->Increment();
+  }
+  // Highest applied update sequence (the recovery high-water mark): the
+  // last message routed to this partition and applied here, or the last
+  // one catch-up replay visited. Messages routed elsewhere do not move it,
+  // so it can sit below the day log's last sequence; replay past it passes
+  // those messages through the partition filter as no-ops. 0 means no
+  // sequenced update has been applied since the last install/crash.
   std::uint64_t applied_sequence() const {
     return applied_sequence_.load(std::memory_order_relaxed);
   }

@@ -1,5 +1,6 @@
 #include "store/catalog.h"
 
+#include <algorithm>
 #include <mutex>
 
 namespace jdvs {
@@ -25,23 +26,41 @@ bool ProductCatalog::Contains(ProductId id) const {
   return products_.find(id) != products_.end();
 }
 
-bool ProductCatalog::UpdateAttributes(ProductId id,
-                                      const ProductAttributes& attributes,
-                                      const std::string& detail_url) {
+std::vector<std::string> ProductCatalog::Apply(
+    const ProductUpdateMessage& message) {
   std::unique_lock lock(mu_);
-  const auto it = products_.find(id);
-  if (it == products_.end()) return false;
-  it->second.attributes = attributes;
-  if (!detail_url.empty()) it->second.detail_url = detail_url;
-  return true;
-}
-
-bool ProductCatalog::SetOnMarket(ProductId id, bool on_market) {
-  std::unique_lock lock(mu_);
-  const auto it = products_.find(id);
-  if (it == products_.end()) return false;
-  it->second.on_market = on_market;
-  return true;
+  auto it = products_.find(message.product_id);
+  if (it == products_.end()) {
+    if (message.type != UpdateType::kAddProduct) return {};
+    ProductRecord record;
+    record.id = message.product_id;
+    record.category = message.category_id;
+    record.attributes = message.attributes;
+    record.detail_url = message.detail_url;
+    record.image_urls = message.image_urls;
+    it = products_.emplace(record.id, std::move(record)).first;
+    return it->second.image_urls;
+  }
+  ProductRecord& record = it->second;
+  switch (message.type) {
+    case UpdateType::kAddProduct:
+      record.on_market = true;
+      for (const std::string& url : message.image_urls) {
+        if (std::find(record.image_urls.begin(), record.image_urls.end(),
+                      url) == record.image_urls.end()) {
+          record.image_urls.push_back(url);
+        }
+      }
+      [[fallthrough]];
+    case UpdateType::kAttributeUpdate:
+      record.attributes = message.attributes;
+      if (!message.detail_url.empty()) record.detail_url = message.detail_url;
+      break;
+    case UpdateType::kRemoveProduct:
+      record.on_market = false;
+      break;
+  }
+  return record.image_urls;
 }
 
 std::size_t ProductCatalog::size() const {

@@ -41,13 +41,15 @@ class ProductCatalog {
   std::optional<ProductRecord> Get(ProductId id) const;
   bool Contains(ProductId id) const;
 
-  // Updates only the numeric attributes / detail URL of an existing product;
-  // returns false if absent.
-  bool UpdateAttributes(ProductId id, const ProductAttributes& attributes,
-                        const std::string& detail_url);
-
-  // Flips market availability; returns false if absent.
-  bool SetOnMarket(ProductId id, bool on_market);
+  // Applies one update message to its product's record, under one lock. An
+  // attribute update rewrites the attributes (and a non-empty detail URL).
+  // An addition creates the record, or re-lists a known product: back on
+  // the market, attributes refreshed, and every image URL the record lacks
+  // appended, so the next full build keeps each image the product was
+  // given. A removal takes the product off the market. Returns the record's
+  // image URLs after the apply (empty for a product the catalog does not
+  // know).
+  std::vector<std::string> Apply(const ProductUpdateMessage& message);
 
   std::size_t size() const;
 

@@ -41,22 +41,36 @@ struct AlignedFreeDeleter {
 template <typename T>
 using AlignedArray = std::unique_ptr<T[], AlignedFreeDeleter>;
 
-// Allocates `count` Ts at 64-byte alignment, zero-initialized (trivial types
-// only — freed without destructors).
+// Bytes an aligned allocation of `count` Ts takes: aligned_alloc requires a
+// nonzero multiple of the alignment.
 template <typename T>
-AlignedArray<T> AllocateAligned(std::size_t count) {
-  static_assert(std::is_trivial_v<T>,
-                "aligned storage is raw memory: trivial payloads only");
-  static_assert(kCacheLineBytes % alignof(T) == 0);
-  // aligned_alloc requires the size to be a multiple of the alignment.
+constexpr std::size_t AlignedAllocationBytes(std::size_t count) noexcept {
   const std::size_t bytes =
       (count * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
       kCacheLineBytes;
-  void* p = std::aligned_alloc(kCacheLineBytes, bytes == 0 ? kCacheLineBytes
-                                                           : bytes);
+  return bytes == 0 ? kCacheLineBytes : bytes;
+}
+
+// Allocates `count` Ts at 64-byte alignment and leaves them uninitialized:
+// for storage whose every element is written before anything reads it
+// (trivial types only — freed without destructors).
+template <typename T>
+AlignedArray<T> AllocateAlignedUninitialized(std::size_t count) {
+  static_assert(std::is_trivial_v<T>,
+                "aligned storage is raw memory: trivial payloads only");
+  static_assert(kCacheLineBytes % alignof(T) == 0);
+  void* p =
+      std::aligned_alloc(kCacheLineBytes, AlignedAllocationBytes<T>(count));
   if (p == nullptr) throw std::bad_alloc();
-  std::memset(p, 0, bytes == 0 ? kCacheLineBytes : bytes);
   return AlignedArray<T>(static_cast<T*>(p));
+}
+
+// Allocates `count` Ts at 64-byte alignment, zero-initialized.
+template <typename T>
+AlignedArray<T> AllocateAligned(std::size_t count) {
+  AlignedArray<T> array = AllocateAlignedUninitialized<T>(count);
+  std::memset(array.get(), 0, AlignedAllocationBytes<T>(count));
+  return array;
 }
 
 }  // namespace jdvs

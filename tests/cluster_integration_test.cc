@@ -3,10 +3,16 @@
 // queue, full-index rebuilds under live traffic, and failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
+#include <thread>
+#include <vector>
 
 #include "search/cluster_builder.h"
 #include "workload/catalog_gen.h"
+#include "workload/day_trace.h"
 #include "workload/query_client.h"
 
 namespace jdvs {
@@ -81,6 +87,41 @@ TEST(ClusterIntegrationTest, QueryFindsSubjectProduct) {
   }
   // The synthetic embedding separates products well; expect near-perfect.
   EXPECT_GE(found, kQueries - 2);
+}
+
+// Partitions that own one of `urls`, as the cluster's partitioner assigns
+// them.
+std::vector<bool> OwningPartitions(VisualSearchCluster& cluster,
+                                   const std::vector<std::string>& urls) {
+  std::vector<bool> owned(cluster.config().num_partitions, false);
+  for (const std::string& url : urls) {
+    owned[cluster.partitioner().PartitionOf(url)] = true;
+  }
+  return owned;
+}
+
+// Partitions that own an image of the message's product: the catalog
+// record's images and the message's own.
+std::vector<bool> OwningPartitions(VisualSearchCluster& cluster,
+                                   const ProductUpdateMessage& message) {
+  std::vector<std::string> urls = message.image_urls;
+  if (const auto record = cluster.catalog().Get(message.product_id)) {
+    urls.insert(urls.end(), record->image_urls.begin(),
+                record->image_urls.end());
+  }
+  return OwningPartitions(cluster, urls);
+}
+
+// True when `partition` answers `url`'s feature with a hit of `product`.
+bool PartitionServes(VisualSearchCluster& cluster, std::size_t partition,
+                     const std::string& url, ProductId product) {
+  const auto feature = cluster.features().Get(url);
+  if (!feature) return false;
+  for (const SearchHit& hit :
+       cluster.searcher(partition).SearchLocal(*feature, 10)) {
+    if (hit.product_id == product) return true;
+  }
+  return false;
 }
 
 TEST(ClusterIntegrationTest, AllPartitionsServeData) {
@@ -176,6 +217,192 @@ TEST(ClusterIntegrationTest, AttributeUpdateVisibleInResults) {
     }
   }
   EXPECT_TRUE(saw);
+}
+
+TEST(ClusterIntegrationTest, UpdatesReachOnlyOwningPartitions) {
+  auto cluster = MakeCluster();
+  // Catalog products whose images miss at least one partition, so routing
+  // has a partition to skip.
+  std::vector<ProductId> sparse;
+  for (ProductId id = 1; id <= 200 && sparse.size() < 3; ++id) {
+    const std::vector<bool> owned =
+        OwningPartitions(*cluster, cluster->catalog().Get(id)->image_urls);
+    if (std::find(owned.begin(), owned.end(), false) != owned.end()) {
+      sparse.push_back(id);
+    }
+  }
+  ASSERT_EQ(sparse.size(), 3u);
+
+  std::vector<ProductUpdateMessage> messages;
+  ProductUpdateMessage update;
+  update.type = UpdateType::kAttributeUpdate;
+  update.product_id = sparse[0];
+  update.attributes = {.sales = 42, .price_cents = 4200, .praise = 4};
+  messages.push_back(update);
+  ProductUpdateMessage removal;
+  removal.type = UpdateType::kRemoveProduct;
+  removal.product_id = sparse[1];
+  messages.push_back(removal);
+  const auto record = cluster->catalog().Get(sparse[2]);
+  ProductUpdateMessage relist;
+  relist.type = UpdateType::kAddProduct;
+  relist.product_id = sparse[2];
+  relist.category_id = record->category;
+  relist.image_urls = record->image_urls;
+  relist.attributes = record->attributes;
+  messages.push_back(relist);
+  messages.push_back(AddMessage(9401, 2, 1));  // a new product, one image
+
+  std::vector<std::uint64_t> expected(4, 0);
+  for (const ProductUpdateMessage& m : messages) {
+    const std::vector<bool> owned = OwningPartitions(*cluster, m);
+    for (std::size_t p = 0; p < 4; ++p) expected[p] += owned[p] ? 1 : 0;
+    cluster->PublishUpdate(m);
+  }
+  ASSERT_TRUE(cluster->WaitForUpdatesDrained());
+  for (std::size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(cluster->searcher(p).update_counters().TotalMessages(),
+              expected[p])
+        << "partition " << p;
+    EXPECT_EQ(cluster->searcher(p).messages_consumed(),
+              cluster->updates_published())
+        << "partition " << p;
+  }
+  // Fewer partition applies than a broadcast would make.
+  EXPECT_LT(std::accumulate(expected.begin(), expected.end(), 0ull),
+            4 * messages.size());
+}
+
+TEST(ClusterIntegrationTest, RelistedNewImageSurvivesFullRebuild) {
+  auto cluster = MakeCluster();
+  const ProductId product = 17;
+  const auto record = cluster->catalog().Get(product);
+  ASSERT_TRUE(record.has_value());
+  // A new image of the product, owned by a partition none of its old images
+  // maps to.
+  const std::vector<bool> old_owners =
+      OwningPartitions(*cluster, record->image_urls);
+  ASSERT_NE(std::find(old_owners.begin(), old_owners.end(), false),
+            old_owners.end());
+  std::string new_url;
+  for (std::uint32_t k = 100; new_url.empty(); ++k) {
+    const std::string url = MakeImageUrl(product, k);
+    if (!old_owners[cluster->partitioner().PartitionOf(url)]) new_url = url;
+  }
+  const std::size_t new_partition = cluster->partitioner().PartitionOf(new_url);
+
+  ProductUpdateMessage relist;
+  relist.type = UpdateType::kAddProduct;
+  relist.product_id = product;
+  relist.category_id = record->category;
+  relist.image_urls = record->image_urls;
+  relist.image_urls.push_back(new_url);
+  relist.attributes = record->attributes;
+  cluster->PublishUpdate(relist);
+  ASSERT_TRUE(cluster->WaitForUpdatesDrained());
+  EXPECT_TRUE(PartitionServes(*cluster, new_partition, new_url, product));
+
+  // The catalog record now holds the image, so the rebuild keeps it.
+  cluster->RunFullIndexingCycle();
+  EXPECT_TRUE(PartitionServes(*cluster, new_partition, new_url, product));
+
+  // And a removal, which carries no URLs, reaches the new image's partition.
+  ProductUpdateMessage removal;
+  removal.type = UpdateType::kRemoveProduct;
+  removal.product_id = product;
+  cluster->PublishUpdate(removal);
+  ASSERT_TRUE(cluster->WaitForUpdatesDrained());
+  for (const std::string& url : relist.image_urls) {
+    for (std::size_t p = 0; p < 4; ++p) {
+      EXPECT_FALSE(PartitionServes(*cluster, p, url, product))
+          << url << " on partition " << p;
+    }
+  }
+}
+
+// perfbench's visibility test: a burst counts as applied once every
+// searcher's messages_consumed() reaches updates_published(). At that moment
+// every image the burst added must be served by its partition with the
+// attributes of its product's last message, and every removed product must
+// be gone (perfbench's final-state stream check).
+TEST(ClusterIntegrationTest, BurstIsAppliedWhenCountsReachPublished) {
+  // A new product's images pay a simulated extraction, so the applies trail
+  // the publisher: a count that ran ahead of its apply would show.
+  ClusterConfig config = SmallConfig();
+  config.extraction = {.mean_micros = 2000};
+  auto cluster = MakeCluster(config);
+  DayTraceConfig tc;
+  tc.total_messages = 50;
+  tc.num_categories = 8;
+  tc.seed = 7;
+  std::vector<ProductUpdateMessage> burst;
+  DayTraceGenerator(tc, cluster->catalog()).Generate([&](const TraceEvent& e) {
+    burst.push_back(e.message);
+  });
+  ASSERT_EQ(burst.size(), 50u);
+  std::size_t new_products = 0;
+  std::map<ProductId, std::size_t> last;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    if (!cluster->catalog().Contains(burst[i].product_id) &&
+        last.count(burst[i].product_id) == 0) {
+      ++new_products;
+    }
+    last[burst[i].product_id] = i;
+  }
+  ASSERT_GT(new_products, 0u);
+
+  for (const ProductUpdateMessage& m : burst) cluster->PublishUpdate(m);
+  const std::uint64_t published = cluster->updates_published();
+  const Micros deadline = MonotonicClock::Instance().NowMicros() + 10'000'000;
+  for (;;) {
+    bool counted = true;
+    for (std::size_t i = 0; i < cluster->num_searchers(); ++i) {
+      counted = counted &&
+                cluster->searcher_flat(i).messages_consumed() >= published;
+    }
+    if (counted) break;
+    ASSERT_LT(MonotonicClock::Instance().NowMicros(), deadline);
+    std::this_thread::yield();
+  }
+
+  for (const auto& [id, index] : last) {
+    const ProductUpdateMessage& message = burst[index];
+    const auto record = cluster->catalog().Get(id);
+    ASSERT_TRUE(record.has_value()) << "product " << id;
+    for (const std::string& url : record->image_urls) {
+      const auto feature = cluster->features().Get(url);
+      ASSERT_TRUE(feature.has_value()) << url;
+      const std::vector<SearchHit> hits =
+          cluster->searcher(cluster->partitioner().PartitionOf(url))
+              .SearchLocal(*feature, 10);
+      if (message.type == UpdateType::kRemoveProduct) {
+        for (const SearchHit& hit : hits) {
+          EXPECT_NE(hit.product_id, id) << url;
+        }
+      } else {
+        const auto it = std::find_if(
+            hits.begin(), hits.end(),
+            [&](const SearchHit& hit) { return hit.image_url == url; });
+        ASSERT_NE(it, hits.end()) << url;
+        EXPECT_EQ(it->attributes, message.attributes) << url;
+      }
+    }
+  }
+}
+
+TEST(ClusterIntegrationTest, UnknownProductWithoutImagesStillDrains) {
+  auto cluster = MakeCluster();
+  ProductUpdateMessage update;
+  update.type = UpdateType::kAttributeUpdate;
+  update.product_id = 999'999;  // not in the catalog, no URLs: no partition
+  update.attributes = {.sales = 1, .price_cents = 1, .praise = 1};
+  cluster->PublishUpdate(update);
+  for (std::size_t i = 0; i < cluster->num_searchers(); ++i) {
+    EXPECT_EQ(cluster->searcher_flat(i).messages_consumed(),
+              cluster->updates_published());
+    EXPECT_EQ(cluster->searcher_flat(i).update_counters().TotalMessages(), 0u);
+  }
+  EXPECT_TRUE(cluster->WaitForUpdatesDrained(1'000'000));
 }
 
 TEST(ClusterIntegrationTest, WithoutRealtimeUpdatesWaitForFullCycle) {

@@ -3,11 +3,13 @@
 // deployment under live traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "ctrl/controller.h"
 #include "ctrl/failure_detector.h"
@@ -312,6 +314,65 @@ TEST_F(CtrlClusterTest, AutoRecoveryRevivesCrashedReplicaAndCatchesUp) {
   }
   EXPECT_GE(found, 8);
   EXPECT_EQ(cluster_->broker(0).partition_failures(), 0u);
+}
+
+TEST_F(CtrlClusterTest, RecoveredReplicaAppliesOnlyItsPartitionsMessages) {
+  MakeCluster(/*partitions=*/2, /*replicas=*/2);
+  ctrl::ClusterController controller(*cluster_, FastControllerConfig());
+  controller.Start();
+  Searcher& victim = cluster_->searcher(0, 0);
+  victim.Crash();
+  const std::size_t slot = cluster_->replica_slot(0, 0);
+  ASSERT_TRUE(WaitUntil([&] {
+    return controller.recoveries() >= 1 &&
+           cluster_->replica_states().Get(slot) == ctrl::ReplicaState::kUp;
+  }));
+  // Stopped so that no later recovery replays the log into the counts.
+  controller.Stop();
+
+  // One-image products, five owned by each partition.
+  std::uint64_t before[2][2];
+  for (std::size_t p = 0; p < 2; ++p) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      before[p][r] = cluster_->searcher(p, r).update_counters().TotalMessages();
+    }
+  }
+  std::uint64_t routed[2] = {0, 0};
+  std::vector<ProductId> partition0_products;
+  for (ProductId id = 9500; routed[0] < 5 || routed[1] < 5; ++id) {
+    const std::size_t p =
+        cluster_->partitioner().PartitionOf(MakeImageUrl(id, 0));
+    if (routed[p] == 5) continue;
+    ++routed[p];
+    if (p == 0) partition0_products.push_back(id);
+    ProductUpdateMessage add;
+    add.type = UpdateType::kAddProduct;
+    add.product_id = id;
+    add.category_id = 2;
+    add.image_urls.push_back(MakeImageUrl(id, 0));
+    cluster_->PublishUpdate(std::move(add));
+  }
+  ASSERT_TRUE(cluster_->WaitForUpdatesDrained());
+
+  // The victim reads partition 0's topic again: it applies exactly the
+  // messages routed there, as its sibling does.
+  for (std::size_t p = 0; p < 2; ++p) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(cluster_->searcher(p, r).update_counters().TotalMessages() -
+                    before[p][r],
+                routed[p])
+          << "searcher " << p << "/" << r;
+    }
+  }
+  EXPECT_GE(victim.messages_consumed(), cluster_->updates_published());
+  for (const ProductId id : partition0_products) {
+    const auto feature = cluster_->features().Get(MakeImageUrl(id, 0));
+    ASSERT_TRUE(feature.has_value());
+    const std::vector<SearchHit> hits = victim.SearchLocal(*feature, 5);
+    EXPECT_TRUE(std::any_of(hits.begin(), hits.end(), [&](const SearchHit& h) {
+      return h.product_id == id;
+    })) << "product " << id;
+  }
 }
 
 TEST_F(CtrlClusterTest, DetectOnlyModeLeavesRecoveryToOperator) {

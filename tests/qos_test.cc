@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -499,12 +500,17 @@ TEST(QosClusterTest, DrainNotificationCompletesPromptly) {
   }
   // The consumer's progress listener wakes the waiter; no sleep-polling.
   EXPECT_TRUE(cluster->WaitForUpdatesDrained());
-  // Updates are broadcast: every searcher's consumer sees all 50 messages.
-  std::uint64_t consumed = 0;
-  for (std::size_t s = 0; s < cluster->num_searchers(); ++s) {
-    consumed += cluster->searcher_flat(s).messages_consumed();
+  // Each message is routed to the partition of its one image: that
+  // partition's searcher applies it, and every searcher counts all 50.
+  std::vector<std::uint64_t> routed(cluster->config().num_partitions, 0);
+  for (int i = 0; i < 50; ++i) {
+    ++routed[cluster->partitioner().PartitionOf(MakeImageUrl(9000 + i, 0))];
   }
-  EXPECT_EQ(consumed, 50u * cluster->num_searchers());
+  for (std::size_t p = 0; p < routed.size(); ++p) {
+    EXPECT_EQ(cluster->searcher(p).update_counters().TotalMessages(),
+              routed[p]);
+    EXPECT_EQ(cluster->searcher(p).messages_consumed(), 50u);
+  }
 }
 
 // --------------------------------------------------------- workload client

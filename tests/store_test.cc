@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "store/catalog.h"
@@ -32,12 +34,23 @@ TEST(CatalogTest, UpsertGetRoundTrip) {
   EXPECT_FALSE(catalog.Get(8).has_value());
 }
 
+ProductUpdateMessage Message(UpdateType type, ProductId id) {
+  ProductUpdateMessage message;
+  message.type = type;
+  message.product_id = id;
+  return message;
+}
+
 TEST(CatalogTest, UpdateAttributesOnlyTouchesExisting) {
   ProductCatalog catalog;
   catalog.Upsert(MakeProduct(7));
-  const ProductAttributes updated{.sales = 99, .price_cents = 1, .praise = 5};
-  EXPECT_TRUE(catalog.UpdateAttributes(7, updated, "jd://new"));
-  EXPECT_FALSE(catalog.UpdateAttributes(8, updated, ""));
+  ProductUpdateMessage update = Message(UpdateType::kAttributeUpdate, 7);
+  update.attributes = {.sales = 99, .price_cents = 1, .praise = 5};
+  update.detail_url = "jd://new";
+  EXPECT_EQ(catalog.Apply(update).size(), 2u);
+  update.product_id = 8;
+  EXPECT_TRUE(catalog.Apply(update).empty());
+  EXPECT_FALSE(catalog.Contains(8));
   const auto record = catalog.Get(7);
   EXPECT_EQ(record->attributes.sales, 99u);
   EXPECT_EQ(record->detail_url, "jd://new");
@@ -46,18 +59,39 @@ TEST(CatalogTest, UpdateAttributesOnlyTouchesExisting) {
 TEST(CatalogTest, EmptyDetailUrlKeepsOld) {
   ProductCatalog catalog;
   catalog.Upsert(MakeProduct(7));
-  catalog.UpdateAttributes(7, {}, "");
+  catalog.Apply(Message(UpdateType::kAttributeUpdate, 7));
   EXPECT_EQ(catalog.Get(7)->detail_url, "jd://item/7");
 }
 
 TEST(CatalogTest, SetOnMarketFlips) {
   ProductCatalog catalog;
   catalog.Upsert(MakeProduct(7));
-  EXPECT_TRUE(catalog.SetOnMarket(7, false));
+  catalog.Apply(Message(UpdateType::kRemoveProduct, 7));
   EXPECT_FALSE(catalog.Get(7)->on_market);
-  EXPECT_TRUE(catalog.SetOnMarket(7, true));
+  catalog.Apply(Message(UpdateType::kAddProduct, 7));
   EXPECT_TRUE(catalog.Get(7)->on_market);
-  EXPECT_FALSE(catalog.SetOnMarket(99, false));
+  EXPECT_TRUE(catalog.Apply(Message(UpdateType::kRemoveProduct, 99)).empty());
+  EXPECT_FALSE(catalog.Contains(99));
+}
+
+TEST(CatalogTest, RelistKeepsEveryImageUrl) {
+  ProductCatalog catalog;
+  catalog.Upsert(MakeProduct(7));
+  ProductUpdateMessage relist = Message(UpdateType::kAddProduct, 7);
+  relist.image_urls = {MakeImageUrl(7, 1), MakeImageUrl(7, 5)};
+  const std::vector<std::string> expected = {
+      MakeImageUrl(7, 0), MakeImageUrl(7, 1), MakeImageUrl(7, 5)};
+  EXPECT_EQ(catalog.Apply(relist), expected);
+  EXPECT_EQ(catalog.Apply(relist), expected);  // no duplicates
+  EXPECT_EQ(catalog.Get(7)->image_urls, expected);
+
+  // A new product's record takes the message's URLs as they are.
+  ProductUpdateMessage add = Message(UpdateType::kAddProduct, 8);
+  add.category_id = 3;
+  add.image_urls = {MakeImageUrl(8, 0)};
+  EXPECT_EQ(catalog.Apply(add), add.image_urls);
+  EXPECT_EQ(catalog.Get(8)->category, 3u);
+  EXPECT_TRUE(catalog.Get(8)->on_market);
 }
 
 TEST(CatalogTest, ForEachVisitsEverything) {
