@@ -71,7 +71,7 @@ int main() {
       Histogram latency;
       for (int q = 0; q < kQueries; ++q) {
         const Micros start = clock.NowMicros();
-        const auto hits = index->Search(queries[q], 10, nprobe);
+        const auto hits = index->Search(queries[q], 10, {.nprobe = nprobe});
         latency.Record(clock.NowMicros() - start);
         int found = 0;
         for (const ImageId id : truth[q]) {

@@ -242,7 +242,8 @@ int main(int argc, char** argv) {
         kTopK, [&](const FeatureVector& q, std::size_t k) {
           FilterScanStats stats;
           const auto hits =
-              corpus.flat->Search(q, k, 0, kNoCategoryFilter, filter, &stats);
+              corpus.flat->Search(q, k,
+                                  {.filter = &filter, .filter_stats = &stats});
           pushdown_stats(stats);
           return hits.size();
         });
@@ -254,8 +255,7 @@ int main(int argc, char** argv) {
     row = Measure(regime.name, regime.selectivity, "flat", "naive",
                   corpus.queries, kTopK,
                   [&](const FeatureVector& q, std::size_t k) {
-                    return PostFilteredSearch(*corpus.flat, q, k, 0,
-                                              kNoCategoryFilter, filter)
+                    return PostFilteredSearch(*corpus.flat, q, k, 0, filter)
                         .size();
                   });
     row.actual_selectivity = actual;
@@ -268,7 +268,8 @@ int main(int argc, char** argv) {
         kTopK, [&](const FeatureVector& q, std::size_t k) {
           FilterScanStats stats;
           const auto hits =
-              corpus.ivfpq->Search(q, k, 0, kNoCategoryFilter, filter, &stats);
+              corpus.ivfpq->Search(q, k,
+                                   {.filter = &filter, .filter_stats = &stats});
           pushdown_stats(stats);
           return hits.size();
         });
@@ -280,8 +281,7 @@ int main(int argc, char** argv) {
     row = Measure(regime.name, regime.selectivity, "ivfpq", "naive",
                   corpus.queries, kTopK,
                   [&](const FeatureVector& q, std::size_t k) {
-                    return PostFilteredSearch(*corpus.ivfpq, q, k, 0,
-                                              kNoCategoryFilter, filter)
+                    return PostFilteredSearch(*corpus.ivfpq, q, k, 0, filter)
                         .size();
                   });
     row.actual_selectivity = actual;

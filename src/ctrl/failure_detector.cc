@@ -128,14 +128,14 @@ void FailureDetector::ProbeRound() {
           (state == ReplicaState::kDown && config_.reinstate_on_ack)) {
         table_.Set(target.slot, ReplicaState::kUp);
       }
-    } else if (probe.in_flight.load(std::memory_order_acquire)) {
-      // Still unanswered after a full period: a slow node is a suspect node.
-      ++probe.consecutive_misses;
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      misses_total_->Increment();
-    } else if (probe.dispatched) {
-      // The previous probe completed with an error (NodeFailedError while
-      // the fail switch is set): the fabric answered "dead".
+    } else if (probe.dispatched && !probe.miss_counted) {
+      // The last probe is still unanswered after a full period (a slow node
+      // is a suspect node) or completed with an error (NodeFailedError
+      // while the fail switch is set, RpcTimeoutError when the fabric
+      // dropped it). Either way it is one miss, however many rounds it
+      // stays unanswered: a hung replica goes DOWN after down_after_misses
+      // probes, paced by the probe timeout.
+      probe.miss_counted = true;
       ++probe.consecutive_misses;
       misses_.fetch_add(1, std::memory_order_relaxed);
       misses_total_->Increment();
@@ -158,6 +158,7 @@ void FailureDetector::ProbeRound() {
     // connection).
     if (!probe.in_flight.exchange(true, std::memory_order_acq_rel)) {
       probe.dispatched = true;
+      probe.miss_counted = false;
       heartbeats_.fetch_add(1, std::memory_order_relaxed);
       heartbeats_total_->Increment();
       const std::shared_ptr<Probe> p = probes_[i];

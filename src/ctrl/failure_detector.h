@@ -21,8 +21,9 @@
 // A probe that has not answered by the next round counts as a miss (slow
 // node == suspect node); an explicit NodeFailedError also counts as a miss
 // rather than an instant DOWN, so one transient blip cannot evict a
-// replica. RECOVERING replicas belong to the recovery machinery and are not
-// probed.
+// replica. Each probe counts at most one miss, however long it stays
+// unanswered. RECOVERING replicas belong to the recovery machinery and are
+// not probed.
 #pragma once
 
 #include <atomic>
@@ -105,6 +106,7 @@ class FailureDetector {
     // Detector-thread private.
     int consecutive_misses = 0;
     bool dispatched = false;  // a probe has ever been sent to this replica
+    bool miss_counted = false;  // the last probe sent already counted a miss
     // Currently ejected for latency; acks alone do not reinstate while set.
     bool latency_suspected = false;
   };

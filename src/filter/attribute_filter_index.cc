@@ -119,8 +119,7 @@ std::uint64_t AttributeFilterIndex::NumericAt(FilterField field,
 }
 
 MaterializedFilter AttributeFilterIndex::Materialize(
-    const FilterExpression& expr, CategoryId category_filter,
-    const ValidityBitmap* validity) const {
+    const FilterExpression& expr, const ValidityBitmap* validity) const {
   MaterializedFilter out;
   const std::size_t n = size_.load(std::memory_order_acquire);
   out.universe = n;
@@ -129,22 +128,18 @@ MaterializedFilter AttributeFilterIndex::Materialize(
   out.words.assign(num_words, ~std::uint64_t{0});
   out.words.back() &= TailMask(n);
 
-  // Word-wise AND of one category tag's bitmap (a missing tag kills every
-  // bit: no entry ever carried it).
-  const auto and_category = [&](CategoryId category) {
-    const ValidityBitmap* bitmap = CategoryBitmap(category);
-    for (std::size_t w = 0; w < num_words; ++w) {
-      out.words[w] &= bitmap ? bitmap->WordAt(w) : 0;
-    }
-  };
-
-  // Bitmap phase: category predicates, the legacy single-tag filter, then
-  // validity — all word-wise ANDs.
+  // Bitmap phase: category predicates, then validity — all word-wise ANDs.
   std::vector<std::uint64_t> range_scratch;
   for (const FilterPredicate& p : expr.predicates()) {
     if (p.field != FilterField::kCategory) continue;
     if (p.min == p.max) {
-      and_category(static_cast<CategoryId>(p.min));
+      // One tag's bitmap (a missing tag kills every bit: no entry ever
+      // carried it).
+      const ValidityBitmap* bitmap =
+          CategoryBitmap(static_cast<CategoryId>(p.min));
+      for (std::size_t w = 0; w < num_words; ++w) {
+        out.words[w] &= bitmap ? bitmap->WordAt(w) : 0;
+      }
       continue;
     }
     // Range over tags: OR every stored category bitmap whose id falls in
@@ -168,7 +163,6 @@ MaterializedFilter AttributeFilterIndex::Materialize(
       out.words[w] &= range_scratch[w];
     }
   }
-  if (category_filter != kNoCategoryFilter) and_category(category_filter);
   if (validity != nullptr) {
     for (std::size_t w = 0; w < num_words; ++w) {
       out.words[w] &= validity->WordAt(w);

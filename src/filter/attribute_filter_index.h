@@ -99,15 +99,13 @@ class AttributeFilterIndex {
   // Numeric column read for one local id (0 for out-of-range locals).
   std::uint64_t NumericAt(FilterField field, LocalId local) const noexcept;
 
-  // Evaluates `expr AND category_filter AND validity` over every local id
-  // published at call time. `category_filter` is the legacy single-tag
-  // QueryOptions knob (kNoCategoryFilter = none); `validity` may be null
-  // (the filter_invalid_during_scan=false ablation keeps validity out of
-  // the bitmap and defers it to materialization, matching the unfiltered
-  // scan's contract). Word-wise ANDs for the bitmap parts, then per-set-bit
-  // column tests for the numeric ranges.
+  // Evaluates `expr AND validity` over every local id published at call
+  // time. `validity` may be null (the filter_invalid_during_scan=false
+  // ablation keeps validity out of the bitmap and defers it to
+  // materialization, matching the unfiltered scan's contract). Word-wise
+  // ANDs for the category tags and validity, then per-set-bit column tests
+  // for the numeric ranges.
   MaterializedFilter Materialize(const FilterExpression& expr,
-                                 CategoryId category_filter,
                                  const ValidityBitmap* validity) const;
 
   // Writer-side checksum over the numeric columns (order-sensitive mix of

@@ -216,15 +216,11 @@ float IvfIndex::PrepareQuery(FeatureView query, float* out) const {
 bool IvfIndex::Admits(const Admission& admission, LocalId local,
                       bool in_alive_mask) const {
   if (admission.bits != nullptr) {
-    // The bitmap already folds validity and the category tag, so admission
+    // The bitmap already folds validity and every predicate, so admission
     // is a single mask test in place of the per-survivor checks below.
     return admission.post ? admission.bits->Test(local) : in_alive_mask;
   }
   if (config_.filter_invalid_during_scan && !valid_.Get(local)) return false;
-  if (admission.category != kNoCategoryFilter &&
-      forward_.CategoryOf(local) != admission.category) {
-    return false;
-  }
   if (admission.direct == nullptr) return true;
   // Broad-filter direct post mode: no bitmap was materialized, so the
   // predicates are evaluated here — but only on the <= k survivors the
@@ -288,7 +284,7 @@ void IvfIndex::ScanList(std::size_t list, const float* query_scan,
     // Fused distance + admission: the kernel computes every distance in the
     // dot form against the block's precomputed row norms and compacts the
     // candidates at or under the threshold in one sweep — no per-run
-    // distance buffer, no second pass. Distances for invalid / off-category
+    // distance buffer, no second pass. Distances for invalid / filtered-out
     // entries are computed and then discarded — on this layout a branchless
     // linear sweep beats a per-candidate skip, and removed products are
     // rare.
@@ -357,8 +353,8 @@ std::vector<ScoredImage> IvfIndex::Finish(FeatureView query, std::size_t k,
   return exact.TakeSorted();
 }
 
-double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
-                                           CategoryId category_filter) const {
+double IvfIndex::EstimateFilterSelectivity(
+    const FilterExpression& filter) const {
   const std::size_t n = forward_.size();
   if (n == 0) return 0.0;
   // Deterministic strided sample of the forward index: ~256 probes bound the
@@ -373,10 +369,6 @@ double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
     const auto id = static_cast<LocalId>(local);
     if (config_.filter_invalid_during_scan && !valid_.Get(id)) continue;
     const AttributeSnapshot snapshot = forward_.Get(id);
-    if (category_filter != kNoCategoryFilter &&
-        snapshot.category != category_filter) {
-      continue;
-    }
     if (!filter.Matches(snapshot.category, snapshot.attributes)) continue;
     ++pass;
   }
@@ -384,8 +376,8 @@ double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
 }
 
 IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
-    const FilterExpression* filter, CategoryId category_filter,
-    std::size_t nprobe_override, FilterScanStats* stats) const {
+    const FilterExpression* filter, std::size_t nprobe_override,
+    FilterScanStats* stats) const {
   const std::size_t nprobe =
       nprobe_override == 0 ? config_.nprobe : nprobe_override;
   FilterPlan plan;
@@ -399,7 +391,7 @@ IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
   // threshold routes the query into direct post mode, where predicates run
   // only against the <= k kernel survivors and the per-query
   // ~1ms/100k-entry bitmap cost disappears.
-  const double estimate = EstimateFilterSelectivity(*filter, category_filter);
+  const double estimate = EstimateFilterSelectivity(*filter);
   if (estimate >= config_.filter_post_threshold) {
     plan.post_mode = true;
     plan.direct = filter;
@@ -414,8 +406,7 @@ IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
   // The ablation flag keeps validity out of the bitmap (deferred to
   // materialization), matching the unfiltered scan's contract.
   plan.bits = std::make_unique<const MaterializedFilter>(filters_.Materialize(
-      *filter, category_filter,
-      config_.filter_invalid_during_scan ? &valid_ : nullptr));
+      *filter, config_.filter_invalid_during_scan ? &valid_ : nullptr));
   const Micros materialize_micros = watch.ElapsedMicros();
   const double selectivity = plan.bits->selectivity();
   if (plan.bits->matches == 0) {
@@ -469,15 +460,13 @@ std::vector<SearchHit> IvfIndex::MaterializeRanked(
 
 std::vector<ScoredImage> IvfIndex::ScanProbes(
     FeatureView query, std::size_t k, std::span<const std::uint32_t> probes,
-    CategoryId category_filter, const MaterializedFilter* filter,
-    bool post_filter, FilterScanStats* stats,
+    const MaterializedFilter* filter, bool post_filter, FilterScanStats* stats,
     const FilterExpression* direct_filter) const {
   alignas(kCacheLineBytes) float stack_query[kMaxStackQueryFloats];
   AlignedArray<float> heap_query;
   float* query_scan = QueryScratch(stack_query, heap_query);
   const float query_norm = PrepareQuery(query, query_scan);
-  const Admission admission{filter, post_filter, direct_filter,
-                            category_filter};
+  const Admission admission{filter, post_filter, direct_filter};
   TopK topk(ScanDepth(k));
   for (const std::uint32_t list : probes) {
     ScanList(list, query_scan, query_norm, admission, stats, topk);
@@ -486,31 +475,18 @@ std::vector<ScoredImage> IvfIndex::ScanProbes(
 }
 
 std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
-                                        std::size_t nprobe_override,
-                                        CategoryId category_filter) const {
-  return Search(query, k, nprobe_override, category_filter, nullptr, nullptr,
-                /*io_budget_micros=*/0, /*tier_stats=*/nullptr);
+                                        std::size_t nprobe,
+                                        CategoryId category) const {
+  FilterExpression scope;
+  if (category != kNoCategoryFilter) scope.WithCategory(category);
+  return Search(query, k, {.nprobe = nprobe, .filter = &scope});
 }
 
-std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
-                                        std::size_t nprobe_override,
-                                        CategoryId category_filter,
-                                        const FilterExpression& filter,
-                                        FilterScanStats* stats) const {
-  return Search(query, k, nprobe_override, category_filter, &filter, stats,
-                /*io_budget_micros=*/0, /*tier_stats=*/nullptr);
-}
-
-std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
-                                        std::size_t nprobe_override,
-                                        CategoryId category_filter,
-                                        const FilterExpression* filter,
-                                        FilterScanStats* stats,
-                                        Micros io_budget_micros,
-                                        TierScanStats* tier_stats) const {
+std::vector<SearchHit> IvfIndex::Search(
+    FeatureView query, std::size_t k, const IvfSearchOptions& options) const {
   assert(query.size() == dim());
   const FilterPlan plan =
-      PlanFilteredScan(filter, category_filter, nprobe_override, stats);
+      PlanFilteredScan(options.filter, options.nprobe, options.filter_stats);
   // Zero matches: empty-but-successful, no scan work at all.
   if (plan.empty_result) return {};
   // "each searcher node identifies the cluster that is most similar to the
@@ -523,17 +499,15 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
   // budget were dropped (reduced effective nprobe).
   TieredListStore::PinGuard guard;
   if (tiered_store_ != nullptr) {
-    guard = tiered_store_->Pin(probes, io_budget_micros, tier_stats);
+    guard = tiered_store_->Pin(probes, options.io_budget_micros,
+                               options.tier_stats);
     // Not a prefix: quarantined lists are skipped mid-set, over-budget
     // tails are dropped. Scan exactly what the guard holds pinned.
     probes = guard.pinned();
   }
-  // With a bitmap, category/validity are folded in already; direct mode and
-  // the unfiltered scan carry the category filter through.
   std::vector<ScoredImage> ranked =
-      ScanProbes(query, k, probes,
-                 plan.bits != nullptr ? kNoCategoryFilter : category_filter,
-                 plan.bits.get(), plan.post_mode, stats, plan.direct);
+      ScanProbes(query, k, probes, plan.bits.get(), plan.post_mode,
+                 options.filter_stats, plan.direct);
   return MaterializeRanked(ranked);
 }
 
@@ -625,7 +599,6 @@ IvfIndexStats IvfIndex::Stats() const {
 std::vector<SearchHit> PostFilteredSearch(const IvfIndex& index,
                                           FeatureView query, std::size_t k,
                                           std::size_t nprobe_override,
-                                          CategoryId category_filter,
                                           const FilterExpression& filter,
                                           FilterScanStats* stats) {
   if (stats != nullptr) {
@@ -633,7 +606,7 @@ std::vector<SearchHit> PostFilteredSearch(const IvfIndex& index,
     stats->universe = index.size();
   }
   if (filter.empty()) {
-    return index.Search(query, k, nprobe_override, category_filter);
+    return index.Search(query, k, {.nprobe = nprobe_override});
   }
   if (stats != nullptr) stats->strategy = FilterScanStats::Strategy::kFallback;
   // Fetch a growing multiple of k and keep the hits that satisfy the
@@ -642,7 +615,7 @@ std::vector<SearchHit> PostFilteredSearch(const IvfIndex& index,
   std::size_t fetch = std::max<std::size_t>(k * 4, 64);
   for (;;) {
     std::vector<SearchHit> raw =
-        index.Search(query, fetch, nprobe_override, category_filter);
+        index.Search(query, fetch, {.nprobe = nprobe_override});
     std::vector<SearchHit> kept;
     kept.reserve(k);
     for (SearchHit& hit : raw) {

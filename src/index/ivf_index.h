@@ -101,6 +101,23 @@ struct IvfIndexStats {
   std::size_t raw_memory_bytes = 0;
 };
 
+// Every per-query knob of IvfIndex::Search. The defaults give the plain
+// unfiltered top-k at the configured nprobe.
+struct IvfSearchOptions {
+  std::size_t nprobe = 0;  // 0 = IvfIndexConfig::nprobe
+  // Structured predicates, a category scope among them (WithCategory);
+  // null or empty = unfiltered. Must outlive the call.
+  const FilterExpression* filter = nullptr;
+  // Receives the filter plan's diagnostics (strategy, selectivity, skipped
+  // sub-blocks, materialization time); may be null.
+  FilterScanStats* filter_stats = nullptr;
+  // Tiered mode only: bound on the accumulated cold-list fault time (0 = no
+  // limit; probes past the budget are dropped — a reduced effective nprobe)
+  // and the hit/fault accounting (may be null).
+  Micros io_budget_micros = 0;
+  TierScanStats* tier_stats = nullptr;
+};
+
 class IvfIndex {
  public:
   // Flat codec.
@@ -148,40 +165,24 @@ class IvfIndex {
 
   // ---- Reader operations (any thread, lock-free) ----
 
-  // Top-k most similar valid images to `query`. `nprobe_override` of 0 uses
-  // the configured nprobe; `category_filter` optionally restricts the scan
-  // (the production use of the detector output, Section 2.4).
-  std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                std::size_t nprobe_override = 0,
-                                CategoryId category_filter =
-                                    kNoCategoryFilter) const;
-
-  // Hybrid filtered search with true predicate pushdown: the filter is
-  // materialized once into a bitmap (category tags AND validity AND numeric
-  // ranges), a selectivity-adaptive strategy is chosen (pre-filter
-  // sub-blocks / post-filter survivors / widen nprobe — see the
-  // IvfIndexConfig knobs) and the scan skips wholly-dead 64-entry
-  // sub-blocks without touching their rows. The PQ rerank operates on
+  // Top-k most similar valid images to `query` among the nearest
+  // `options.nprobe` lists. A non-empty filter is hybrid search with true
+  // predicate pushdown: a selectivity-adaptive plan (see the IvfIndexConfig
+  // knobs) either tests the predicates on kernel survivors directly, or
+  // materializes them once into a bitmap (category tags AND validity AND
+  // numeric ranges) that post-filters survivors or lets the scan skip
+  // wholly-dead 64-entry sub-blocks, widening nprobe when almost nothing
+  // matches. A category scope — the production use of the detector output
+  // (Section 2.4) — is one such predicate. The PQ rerank operates on
   // already-filtered candidates, so predicates survive the IVFADC+R finish.
+  // In tiered mode the probed lists are pinned in the residency cache before
+  // the scan.
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                std::size_t nprobe_override,
-                                CategoryId category_filter,
-                                const FilterExpression& filter,
-                                FilterScanStats* stats = nullptr) const;
-
-  // Full-fat search: every per-query knob in one call (the overloads above
-  // forward here). `filter` may be null or empty (unfiltered). In tiered
-  // mode the probed lists are pinned in the residency cache before the scan;
-  // `io_budget_micros` bounds the accumulated cold-list fault time (0 = no
-  // limit; probes past the budget are dropped — a reduced effective nprobe)
-  // and `tier_stats` receives the hit/fault accounting.
+                                const IvfSearchOptions& options = {}) const;
+  // Positional form kept for the repository benchmark: scopes the query to
+  // `category` unless it is kNoCategoryFilter.
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
-                                std::size_t nprobe_override,
-                                CategoryId category_filter,
-                                const FilterExpression* filter,
-                                FilterScanStats* stats,
-                                Micros io_budget_micros,
-                                TierScanStats* tier_stats) const;
+                                std::size_t nprobe, CategoryId category) const;
 
   // Scan stage alone: top-k (local id, distance) pairs over an
   // already-chosen probe set, without forward-index materialization (PQ:
@@ -191,7 +192,6 @@ class IvfIndex {
   std::vector<ScoredImage> ScanProbes(
       FeatureView query, std::size_t k,
       std::span<const std::uint32_t> probes,
-      CategoryId category_filter = kNoCategoryFilter,
       const MaterializedFilter* filter = nullptr, bool post_filter = false,
       FilterScanStats* stats = nullptr,
       const FilterExpression* direct_filter = nullptr) const;
@@ -314,7 +314,7 @@ class IvfIndex {
     std::size_t nprobe = 0;     // effective probe count (possibly widened)
   };
   // What survivor admission needs to know about one query. A non-null
-  // `bits` folds validity and the category tag already: `post` tests kernel
+  // `bits` folds validity and every predicate already: `post` tests kernel
   // survivors against it, otherwise sub-block masks are gathered first and
   // wholly-dead sub-blocks skip the kernel. A non-null `direct` (exclusive
   // with `bits`) post-filters survivors straight against the predicates.
@@ -322,18 +322,15 @@ class IvfIndex {
     const MaterializedFilter* bits = nullptr;
     bool post = false;
     const FilterExpression* direct = nullptr;
-    CategoryId category = kNoCategoryFilter;
   };
 
   // Plans one query: `filter` null or empty means unfiltered.
   FilterPlan PlanFilteredScan(const FilterExpression* filter,
-                              CategoryId category_filter,
                               std::size_t nprobe_override,
                               FilterScanStats* stats) const;
   // Sampled selectivity estimate (bounded forward-index probes, no bitmap):
   // the gate that sends broad filters into direct post mode.
-  double EstimateFilterSelectivity(const FilterExpression& filter,
-                                   CategoryId category_filter) const;
+  double EstimateFilterSelectivity(const FilterExpression& filter) const;
 
   // Shared metadata append of AddImage / AddImageMetadata: forward index,
   // attribute filters and the writer's lookup maps.
@@ -420,7 +417,6 @@ class IvfIndex {
 std::vector<SearchHit> PostFilteredSearch(const IvfIndex& index,
                                           FeatureView query, std::size_t k,
                                           std::size_t nprobe_override,
-                                          CategoryId category_filter,
                                           const FilterExpression& filter,
                                           FilterScanStats* stats = nullptr);
 

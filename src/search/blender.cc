@@ -108,7 +108,6 @@ struct Blender::RequestState {
   obs::FlightRecord flight;
   obs::Span root;  // owned here so the trace spans every thread hop
   QueryResponse response;
-  CategoryId category_filter = kNoCategoryFilter;
   std::size_t fetch_k = 0;
   bool skip_rerank = false;  // degradation level >= 2
   std::uint64_t cache_key = 0;
@@ -243,16 +242,16 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
     return;
   }
 
-  // The category scan filter comes from explicit query options first, then
+  // A category scope comes from the query's own filter first, then from
   // the detector when configured to narrow the search (Section 2.4).
-  state->category_filter = state->options.category_filter;
-  if (state->category_filter == kNoCategoryFilter &&
-      config_.use_category_filter) {
-    state->category_filter = state->response.detected_category;
-  }
-  if (state->category_filter != kNoCategoryFilter) {
+  FilterExpression& filter = state->options.filter;
+  if (config_.use_category_filter &&
+      std::ranges::none_of(filter.predicates(), [](const FilterPredicate& p) {
+        return p.field == FilterField::kCategory;
+      })) {
+    filter.WithCategory(state->response.detected_category);
     root.AddTag("category",
-                static_cast<std::uint64_t>(state->category_filter));
+                static_cast<std::uint64_t>(state->response.detected_category));
   }
 
   // 2b. Result cache (when enabled): near-duplicate query photos of a hot
@@ -265,9 +264,7 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
           : config_.index_version->load(std::memory_order_relaxed);
   if (cache_) {
     state->cache_key = cache_->KeyFor(feature, state->options.k,
-                                      state->options.nprobe,
-                                      state->category_filter,
-                                      state->options.filter);
+                                      state->options.nprobe, filter);
     if (auto cached = cache_->Lookup(state->cache_key, state->version)) {
       cached->from_cache = true;
       cached->total_micros = state->watch.ElapsedMicros();
@@ -339,8 +336,11 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
     ArmRpcTimeout(guard, brokers_[b]->name(),
                   config_.broker_rpc_timeout_micros);
     brokers_[b]->SearchAsync(
-        feature, state->fetch_k, effective_nprobe, state->category_filter,
-        state->options.filter, state->deadline, root.context(),
+        feature, state->fetch_k,
+        SearchOptions{.nprobe = effective_nprobe,
+                      .filter = filter,
+                      .deadline = state->deadline,
+                      .parent = root.context()},
         [guard](Broker::SearchResult result) {
           DeliverAndCancelTimer(*guard, std::move(result));
         });

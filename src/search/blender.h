@@ -63,8 +63,9 @@ class Blender {
     RankingConfig ranking;
     std::size_t default_k = 10;
     std::size_t nprobe = 0;  // 0 = searcher index default
-    // When true, the detector's category is pushed down to searchers as a
-    // scan filter (Section 2.4's category identification narrowing the
+    // When true, a query whose filter names no category gets the detected
+    // category as a WithCategory term, pushed down to searchers like any
+    // other predicate (Section 2.4's category identification narrowing the
     // search) instead of only boosting the ranking. A misdetection then
     // excludes the true product from retrieval entirely.
     bool use_category_filter = false;

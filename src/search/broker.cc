@@ -141,28 +141,22 @@ struct Broker::Slot {
 };
 
 struct Broker::FanOutState {
-  FanOutState(FeatureVector q, std::size_t k, std::size_t nprobe,
-              CategoryId filter, FilterExpression attr_filter,
-              qos::Deadline deadline, SearchCallback done)
+  FanOutState(FeatureVector q, std::size_t k, SearchOptions options,
+              SearchCallback done)
       : query(std::move(q)),
         k(k),
-        nprobe(nprobe),
-        filter(filter),
-        attr_filter(std::move(attr_filter)),
-        deadline(deadline),
+        options(std::move(options)),
         watch(MonotonicClock::Instance()),
         on_done(std::move(done)) {}
 
   FeatureVector query;
   std::size_t k;
-  std::size_t nprobe;
-  CategoryId filter;
-  FilterExpression attr_filter;  // hybrid predicates, fanned to every attempt
-  qos::Deadline deadline;
+  // Fanned to every attempt as is, except that `parent` becomes this
+  // broker's span context once the span starts.
+  SearchOptions options;
   Stopwatch watch;
   SearchCallback on_done;
-  obs::Span span;             // "broker.search": dispatch through merge
-  obs::TraceContext context;  // span.context(), passed to searcher calls
+  obs::Span span;  // "broker.search": dispatch through merge
   // slot i of the collector is partition slot_partition[i]; on failure the
   // slot carries the last replica's error.
   std::vector<std::size_t> slot_partition;
@@ -173,21 +167,19 @@ struct Broker::FanOutState {
 };
 
 void Broker::SearchAsync(FeatureVector query, std::size_t k,
-                         std::size_t nprobe, CategoryId category_filter,
-                         FilterExpression filter, qos::Deadline deadline,
-                         obs::TraceContext parent, SearchCallback on_done) {
-  auto state = std::make_shared<FanOutState>(std::move(query), k, nprobe,
-                                             category_filter, std::move(filter),
-                                             deadline, std::move(on_done));
+                         SearchOptions options, SearchCallback on_done) {
+  auto state = std::make_shared<FanOutState>(
+      std::move(query), k, std::move(options), std::move(on_done));
   node_.Call(
       {},
       // The token covers the tail of the entry task: an attempt can answer
       // the caller while this task is still sweeping hedge timers, and the
       // destructor must not tear the broker down under it.
-      [this, state, parent, token = AcquireCallbackToken()](obs::Span&) {
-        state->span = obs::Span(trace_sink_, MonotonicClock::Instance(),
-                                parent, "broker.search", node_.name());
-        state->context = state->span.context();
+      [this, state, token = AcquireCallbackToken()](obs::Span&) {
+        state->span =
+            obs::Span(trace_sink_, MonotonicClock::Instance(),
+                      state->options.parent, "broker.search", node_.name());
+        state->options.parent = state->span.context();
         StartFanOut(state);
       },
       [state](AsyncResult<void> dispatched) {
@@ -201,13 +193,11 @@ void Broker::SearchAsync(FeatureVector query, std::size_t k,
 }
 
 std::future<std::vector<SearchHit>> Broker::SearchAsync(
-    FeatureVector query, std::size_t k, std::size_t nprobe,
-    CategoryId category_filter, FilterExpression filter,
-    qos::Deadline deadline, obs::TraceContext parent) {
+    FeatureVector query, std::size_t k, SearchOptions options) {
   using Hits = AsyncResult<std::vector<SearchHit>>;
   auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
-  SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
-              deadline, parent, [done = std::move(done)](SearchResult result) {
+  SearchAsync(std::move(query), k, std::move(options),
+              [done = std::move(done)](SearchResult result) {
                 done(result.ok() ? Hits::Ok(std::move(result.value->hits))
                                  : Hits::Fail(result.error));
               });
@@ -221,7 +211,7 @@ void Broker::StartFanOut(std::shared_ptr<FanOutState> state) {
   // queue): fail before dispatching a single searcher call. The fan-out is
   // the expensive part — shedding here is the whole point of propagating
   // the deadline down the tiers.
-  if (state->deadline.Expired(MonotonicClock::Instance())) {
+  if (state->options.deadline.Expired(MonotonicClock::Instance())) {
     deadline_exceeded_->Increment();
     state->span.AddTag("deadline_exceeded", std::uint64_t{1});
     state->span.SetError("deadline exceeded");
@@ -399,8 +389,7 @@ bool Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
   // scope the RPC source so fault-injection links stay (broker -> searcher).
   RpcSourceScope rpc_source(node_.name());
   partitions_[partition][replica]->SearchAsync(
-      state->query, state->k, state->nprobe, state->filter,
-      state->attr_filter, state->deadline, state->context,
+      state->query, state->k, state->options,
       [this, state, slot_idx, replica, is_hedge, dispatched_at,
        token = AcquireCallbackToken()](Searcher::SearchResult result) {
         OnAttemptResult(state, slot_idx, replica, is_hedge, dispatched_at,
@@ -417,7 +406,7 @@ void Broker::MaybeHedge(const std::shared_ptr<FanOutState>& state,
   if (slot.completed.load(std::memory_order_acquire)) return;
   // Composes with the QoS layer: a hedge is new work charged to the same
   // budget, and an expired budget is just as dead on the sibling.
-  if (state->deadline.Expired(MonotonicClock::Instance())) return;
+  if (state->options.deadline.Expired(MonotonicClock::Instance())) return;
   if (!HedgeBudgetAllows()) {
     hedges_capped_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -518,7 +507,7 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
                           std::vector<Searcher::SearchResult> slots) {
   // Too late to be useful: the blender would discard the answer anyway, so
   // skip the merge and report the deadline death from this tier.
-  if (state->deadline.Expired(MonotonicClock::Instance())) {
+  if (state->options.deadline.Expired(MonotonicClock::Instance())) {
     deadline_exceeded_->Increment();
     state->span.AddTag("deadline_exceeded", std::uint64_t{1});
     state->span.SetError("deadline exceeded");

@@ -131,28 +131,25 @@ class Broker {
   }
 
   // Remote entry point, continuation-passing: a broker pool thread runs the
-  // fan-out dispatch (one searcher call per partition), and `on_done`
-  // receives the merged top-k once the last partition lands — on whichever
-  // searcher pool thread delivered it. A sampled `parent` context yields a
-  // "broker.search" span covering dispatch through merge, with
-  // failover/failure tags, plus one "searcher.scan" child per partition.
+  // fan-out dispatch (one searcher call per partition, each carrying
+  // `options`), and `on_done` receives the merged top-k once the last
+  // partition lands — on whichever searcher pool thread delivered it. A
+  // sampled `options.parent` context yields a "broker.search" span covering
+  // dispatch through merge, with failover/failure tags, plus one
+  // "searcher.scan" child per partition.
   //
   // The deadline is enforced at the tier boundaries: before the fan-out is
   // dispatched (an already-dead budget never reaches a searcher), inside
   // each searcher (queue time counts), and again before the merge. A
   // replica that failed *because the deadline expired* is never failed over
   // — retrying a timed-out call on a sibling only amplifies the overload.
-  void SearchAsync(FeatureVector query, std::size_t k, std::size_t nprobe,
-                   CategoryId category_filter, FilterExpression filter,
-                   qos::Deadline deadline, obs::TraceContext parent,
+  void SearchAsync(FeatureVector query, std::size_t k, SearchOptions options,
                    SearchCallback on_done);
 
   // Future facade over the continuation path (tests / ablation harnesses).
-  std::future<std::vector<SearchHit>> SearchAsync(
-      FeatureVector query, std::size_t k, std::size_t nprobe = 0,
-      CategoryId category_filter = kNoCategoryFilter,
-      FilterExpression filter = {}, qos::Deadline deadline = {},
-      obs::TraceContext parent = {});
+  std::future<std::vector<SearchHit>> SearchAsync(FeatureVector query,
+                                                  std::size_t k,
+                                                  SearchOptions options = {});
 
   Node& node() { return node_; }
   const std::string& name() const { return node_.name(); }

@@ -328,6 +328,7 @@ void VisualSearchCluster::PublishUpdate(ProductUpdateMessage message) {
     message.trace_id = span.context().trace_id;
     message.parent_span_id = span.context().span_id;
   }
+  const std::lock_guard publish_lock(publish_mu_);
   const std::vector<std::string> product_urls =
       ApplyToCatalog(message, catalog_, image_store_);
   // The day log assigns the sequence; stamp it onto the published copy so

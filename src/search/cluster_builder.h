@@ -190,8 +190,8 @@ class VisualSearchCluster {
   // record after the apply or by the message itself. Every replica of such
   // a partition receives it, in publish order. Every other searcher counts
   // it as consumed before this returns, since it has nothing to apply.
-  // Single publisher: sequences and per-partition order follow the call
-  // order.
+  // Thread-safe: publishes serialize from the catalog apply through the last
+  // topic push, so every partition receives messages in sequence order.
   void PublishUpdate(ProductUpdateMessage message);
 
   // End-of-day / periodic full indexing (Figure 2-3): replays the day log,
@@ -324,6 +324,10 @@ class VisualSearchCluster {
   // referenced from searcher/blender callbacks, so they outlive both tiers.
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
+  // Serializes PublishUpdate: a searcher drops any message at or below its
+  // applied sequence as a duplicate, so sequence n must reach each topic
+  // before n + 1.
+  std::mutex publish_mu_;
   // Diagnosis layer precedes the tiers for the same reason as the load
   // controller: blender completion callbacks write flight records and fold
   // critical paths during teardown, so the recorder/aggregator must outlive

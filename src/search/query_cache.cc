@@ -33,7 +33,6 @@ QueryCache::QueryCache(std::size_t dim, const QueryCacheConfig& config,
 
 std::uint64_t QueryCache::KeyFor(FeatureView feature, std::size_t k,
                                  std::size_t nprobe,
-                                 CategoryId category_filter,
                                  const FilterExpression& filter) const {
   assert(feature.size() == dim_);
   std::uint64_t key = Mix64(config_.seed);
@@ -48,9 +47,7 @@ std::uint64_t QueryCache::KeyFor(FeatureView feature, std::size_t k,
   }
   key = HashCombine(key, Mix64(k));
   key = HashCombine(key, Mix64(nprobe + 0x9e37ULL));
-  key = HashCombine(key, Mix64(category_filter));
-  // Full filter expression: the empty expression hashes to a fixed seed, so
-  // legacy (unfiltered) keys stay stable across this addition of the input.
+  // Full filter expression, a category scope included.
   key = HashCombine(key, filter.Hash());
   return key;
 }

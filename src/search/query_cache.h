@@ -78,7 +78,6 @@ class QueryCache {
   // share an entry — a cached hit list for "price <= 5000" is wrong for
   // "price <= 4999".
   std::uint64_t KeyFor(FeatureView feature, std::size_t k, std::size_t nprobe,
-                       CategoryId category_filter = kNoCategoryFilter,
                        const FilterExpression& filter = {}) const;
 
   // Returns the cached response if present, fresh (TTL) and — under strict

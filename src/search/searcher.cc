@@ -21,8 +21,6 @@ Searcher::Searcher(std::string name, const Config& config, FeatureDb& features,
       trace_sink_(config.trace_sink != nullptr ? config.trace_sink
                                                : &obs::TraceSink::Default()),
       fault_injector_(config.fault_injector),
-      scan_micros_(&registry_->GetHistogram(obs::Labeled(
-          "jdvs_searcher_scan_micros", "searcher", node_.name()))),
       scan_stage_(&registry_->GetHistogram(
           obs::Labeled("jdvs_stage_micros", "stage", "searcher_scan"))),
       filter_stage_(&registry_->GetHistogram(
@@ -197,15 +195,13 @@ std::size_t Searcher::CatchUpFromLog(const MessageLog& log,
 }
 
 std::future<std::vector<SearchHit>> Searcher::SearchAsync(
-    FeatureVector query, std::size_t k, std::size_t nprobe,
-    CategoryId category_filter, FilterExpression filter,
-    qos::Deadline deadline, obs::TraceContext parent) {
+    FeatureVector query, std::size_t k, SearchOptions options) {
   // Future facade over the continuation path, for tests and tools that want
   // a blocking join; the broker drives the callback overload directly.
   using Hits = AsyncResult<std::vector<SearchHit>>;
   auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
-  SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
-              deadline, parent, [done = std::move(done)](SearchResult result) {
+  SearchAsync(std::move(query), k, std::move(options),
+              [done = std::move(done)](SearchResult result) {
                 done(result.ok() ? Hits::Ok(std::move(result.value->hits))
                                  : Hits::Fail(result.error));
               });
@@ -213,35 +209,46 @@ std::future<std::vector<SearchHit>> Searcher::SearchAsync(
 }
 
 void Searcher::SearchAsync(FeatureVector query, std::size_t k,
-                           std::size_t nprobe, CategoryId category_filter,
-                           FilterExpression filter, qos::Deadline deadline,
-                           obs::TraceContext parent, SearchCallback on_done,
+                           SearchOptions options, SearchCallback on_done,
                            Micros rpc_timeout_micros) {
+  const CallOptions call{.sink = trace_sink_,
+                         .parent = options.parent,
+                         .span_name = "searcher.scan",
+                         .deadline = options.deadline,
+                         .timeout_micros = rpc_timeout_micros};
   node_.Call(
-      CallOptions{.sink = trace_sink_,
-                  .parent = parent,
-                  .span_name = "searcher.scan",
-                  .deadline = deadline,
-                  .timeout_micros = rpc_timeout_micros},
-      [this, query = std::move(query), k, nprobe, category_filter,
-       filter = std::move(filter), deadline](obs::Span& span) {
+      call,
+      [this, query = std::move(query), k,
+       options = std::move(options)](obs::Span& span) {
         span.AddTag("k", static_cast<std::uint64_t>(k));
-        if (nprobe > 0) {
-          span.AddTag("nprobe", static_cast<std::uint64_t>(nprobe));
+        if (options.nprobe > 0) {
+          span.AddTag("nprobe", static_cast<std::uint64_t>(options.nprobe));
         }
-        if (category_filter != kNoCategoryFilter) {
-          span.AddTag("category",
-                      static_cast<std::uint64_t>(category_filter));
-        }
+        const FilterExpression& filter = options.filter;
         const bool filtered = !filter.empty();
         FilterScanStats fstats;
         TierScanStats tstats;
+        // A tiered partition under a deadline gives cold-list faults half
+        // the remaining budget, so a string of disk reads degrades the query
+        // to a reduced nprobe instead of blowing through the whole budget
+        // (the cheapest rung of the degradation ladder, applied at the io
+        // layer). A RAM-resident index ignores the io budget.
+        const Micros io_budget =
+            options.deadline.unlimited()
+                ? 0
+                : std::max<Micros>(1, options.deadline.RemainingMicros(
+                                          MonotonicClock::Instance()) /
+                                          2);
         const Stopwatch watch(MonotonicClock::Instance());
         ScanReply reply;
-        reply.hits = Scan(query, k, nprobe, category_filter, filter,
-                          filtered ? &fstats : nullptr, deadline, &tstats);
+        reply.hits = SearchLocal(
+            query, k,
+            {.nprobe = options.nprobe,
+             .filter = &filter,
+             .filter_stats = filtered ? &fstats : nullptr,
+             .io_budget_micros = io_budget,
+             .tier_stats = &tstats});
         const Micros elapsed = watch.ElapsedMicros();
-        scan_micros_->Record(elapsed);
         scan_stage_->RecordWithExemplar(elapsed, span.context().trace_id);
         span.AddTag("hits", static_cast<std::uint64_t>(reply.hits.size()));
         if (tstats.lists_hit + tstats.lists_faulted > 0) {
@@ -296,38 +303,25 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
       });
 }
 
-std::vector<SearchHit> Searcher::Scan(FeatureView query, std::size_t k,
-                                      std::size_t nprobe,
-                                      CategoryId category_filter,
-                                      const FilterExpression& filter,
-                                      FilterScanStats* stats,
-                                      qos::Deadline deadline,
-                                      TierScanStats* tier_stats) const {
+std::vector<SearchHit> Searcher::SearchLocal(
+    FeatureView query, std::size_t k, const IvfSearchOptions& options) const {
   const std::shared_ptr<IvfIndex> index =
       index_.load(std::memory_order_acquire);
   if (!index) throw std::runtime_error(node_.name() + ": no index installed");
-  // Tiered partition under a deadline: give cold-list faults half the
-  // remaining budget, so a string of disk reads degrades the query to a
-  // reduced nprobe instead of blowing through the whole budget (the
-  // cheapest rung of the degradation ladder, applied at the io layer).
-  Micros io_budget = 0;
-  if (index->tiered_store() != nullptr && !deadline.unlimited()) {
-    io_budget = std::max<Micros>(
-        1, deadline.RemainingMicros(MonotonicClock::Instance()) / 2);
-  }
-  return index->Search(query, k, nprobe, category_filter, &filter, stats,
-                       io_budget, tier_stats);
+  return index->Search(query, k, options);
 }
 
 std::vector<SearchHit> Searcher::SearchLocal(FeatureView query, std::size_t k,
                                              std::size_t nprobe,
-                                             CategoryId category_filter,
+                                             CategoryId category,
                                              const FilterExpression& filter,
                                              FilterScanStats* stats) const {
-  const std::shared_ptr<IvfIndex> index =
-      index_.load(std::memory_order_acquire);
-  if (!index) throw std::runtime_error(node_.name() + ": no index installed");
-  return index->Search(query, k, nprobe, category_filter, filter, stats);
+  FilterExpression scoped;
+  if (category != kNoCategoryFilter) (scoped = filter).WithCategory(category);
+  return SearchLocal(query, k,
+                     {.nprobe = nprobe,
+                      .filter = scoped.empty() ? &filter : &scoped,
+                      .filter_stats = stats});
 }
 
 void Searcher::RenderTierStatus(std::ostream& os) const {

@@ -33,6 +33,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "qos/deadline.h"
+#include "search/types.h"
 #include "store/feature_db.h"
 #include "tier/scrubber.h"
 
@@ -47,7 +48,7 @@ class Searcher {
     LatencyModel latency;
     std::uint64_t seed = 0;
     // Observability (null = process-global defaults). The registry receives
-    // the per-searcher scan histogram, message counter and real-time update
+    // the shared scan stage histograms, message counter and real-time update
     // counter; the sink receives "searcher.scan" / "rt.apply" spans of
     // sampled traces.
     obs::Registry* registry = nullptr;
@@ -132,15 +133,13 @@ class Searcher {
                              const CatchUpPacer& pacer = {});
 
   // Remote search: runs on this searcher's node. Returns "the top k most
-  // similar images" of this partition, optionally scoped to one category
-  // and/or a structured attribute filter (hybrid search: the filter is
-  // pushed down into the index scan). When `parent` is a sampled trace
-  // context, the scan records a "searcher.scan" child span.
-  std::future<std::vector<SearchHit>> SearchAsync(
-      FeatureVector query, std::size_t k, std::size_t nprobe = 0,
-      CategoryId category_filter = kNoCategoryFilter,
-      FilterExpression filter = {}, qos::Deadline deadline = {},
-      obs::TraceContext parent = {});
+  // similar images" of this partition, narrowed by `options.filter` when it
+  // is non-empty (hybrid search: the filter is pushed down into the index
+  // scan). When `options.parent` is a sampled trace context, the scan
+  // records a "searcher.scan" child span.
+  std::future<std::vector<SearchHit>> SearchAsync(FeatureVector query,
+                                                  std::size_t k,
+                                                  SearchOptions options = {});
 
   // Continuation-passing variant the broker drives: the partial result (or
   // the failure, e.g. NodeFailedError while this node is down) is delivered
@@ -174,17 +173,20 @@ class Searcher {
   };
   using SearchResult = AsyncResult<ScanReply>;
   using SearchCallback = std::function<void(SearchResult)>;
-  void SearchAsync(FeatureVector query, std::size_t k, std::size_t nprobe,
-                   CategoryId category_filter, FilterExpression filter,
-                   qos::Deadline deadline, obs::TraceContext parent,
+  void SearchAsync(FeatureVector query, std::size_t k, SearchOptions options,
                    SearchCallback on_done, Micros rpc_timeout_micros = 0);
 
-  // In-process search (tests / exhaustive ground truth), bypassing the node.
+  // In-process search, bypassing the node: the installed index's Search.
+  // SearchAsync's scan runs through it too.
   std::vector<SearchHit> SearchLocal(
-      FeatureView query, std::size_t k, std::size_t nprobe = 0,
-      CategoryId category_filter = kNoCategoryFilter,
-      const FilterExpression& filter = {},
-      FilterScanStats* stats = nullptr) const;
+      FeatureView query, std::size_t k,
+      const IvfSearchOptions& options = {}) const;
+  // Positional form kept for the repository benchmark: conjoins
+  // WithCategory(category) to `filter` unless category is kNoCategoryFilter.
+  std::vector<SearchHit> SearchLocal(FeatureView query, std::size_t k,
+                                     std::size_t nprobe, CategoryId category,
+                                     const FilterExpression& filter,
+                                     FilterScanStats* stats) const;
   std::vector<SearchHit> SearchExhaustiveLocal(FeatureView query,
                                                std::size_t k) const;
   // Brute-force filtered ground truth over this partition.
@@ -259,17 +261,6 @@ class Searcher {
   // consumer_mu_.
   void StopConsumingLocked();
 
-  // Scan body of SearchAsync: one index Search on the calling pool thread.
-  // `stats` (caller-owned, may be null) receives this query's filter
-  // diagnostics; `tier_stats` (caller-owned) receives the tiered-serving
-  // accounting (faults, drops, io time). The io budget handed to the index
-  // is carved from the deadline's remaining budget.
-  std::vector<SearchHit> Scan(FeatureView query, std::size_t k,
-                              std::size_t nprobe, CategoryId category_filter,
-                              const FilterExpression& filter,
-                              FilterScanStats* stats, qos::Deadline deadline,
-                              TierScanStats* tier_stats) const;
-
   Node node_;
   FeatureDb& features_;
   PartitionFilter filter_;
@@ -277,7 +268,6 @@ class Searcher {
   obs::Registry* registry_;
   obs::TraceSink* trace_sink_;
   FaultInjector* fault_injector_;
-  Histogram* scan_micros_;        // per-searcher scan latency
   Histogram* scan_stage_;         // shared jdvs_stage_micros{stage="searcher_scan"}
   Histogram* filter_stage_;       // shared jdvs_stage_micros{stage="searcher_filter"}
   Histogram* io_stage_;           // shared jdvs_stage_micros{stage="searcher_io"}

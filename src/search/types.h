@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "index/ivf_index.h"
+#include "obs/span.h"
 #include "qos/deadline.h"
 #include "vecmath/vector.h"
 
@@ -25,17 +26,14 @@ struct QueryImage {
 struct QueryOptions {
   std::size_t k = 10;       // results returned to the user
   std::size_t nprobe = 0;   // 0 = index default
-  // When set (!= kNoCategoryFilter), searchers only consider images of this
-  // category — the production use of the detector's output ("the product
-  // category of the item is identified", Section 2.4). A misdetection then
-  // excludes the true product, which is the accuracy/latency trade the
-  // category-filter ablation measures.
-  CategoryId category_filter = kNoCategoryFilter;
-
   // Structured attribute predicates (hybrid filtered search): every result
   // must satisfy this conjunction of category-tag and numeric-range
-  // predicates, enforced by bitmap pushdown inside the searcher scan. Empty
-  // = unfiltered. Conjoined with category_filter when both are set.
+  // predicates, pushed down into the searcher scan. Empty = unfiltered. A
+  // category term (WithCategory) scopes the query to one product category,
+  // the production use of the detector's output ("the product category of
+  // the item is identified", Section 2.4); a blender configured with
+  // use_category_filter adds the detected category when the filter names
+  // none.
   FilterExpression filter{};
 
   // Latency budget (QoS): the blender stamps budget -> absolute deadline at
@@ -48,6 +46,16 @@ struct QueryOptions {
   // Admission class: background work (recovery catch-up, probes, analytics
   // replays) is capped separately so it cannot starve interactive users.
   qos::Priority priority = qos::Priority::kInteractive;
+};
+
+// The per-query knobs a Broker or Searcher call carries below the blender.
+// The defaults give an unfiltered, untraced top-k with no deadline at the
+// index's configured nprobe.
+struct SearchOptions {
+  std::size_t nprobe = 0;     // 0 = index default
+  FilterExpression filter{};  // empty = unfiltered
+  qos::Deadline deadline{};   // unlimited by default
+  obs::TraceContext parent{}; // a sampled context records child spans
 };
 
 // One final ranked result ("the similar products are ranked according to

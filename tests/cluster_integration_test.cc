@@ -124,6 +124,36 @@ bool PartitionServes(VisualSearchCluster& cluster, std::size_t partition,
   return false;
 }
 
+// Two threads publish at once. Each partition must receive its messages in
+// sequence order: a searcher drops a message at or below its applied
+// sequence as a duplicate, and the drain would still report success.
+TEST(ClusterIntegrationTest, ConcurrentPublishersLoseNoUpdate) {
+  auto cluster = MakeCluster();
+  constexpr ProductId kFirst = 10'000;
+  constexpr ProductId kPerThread = 2'000;
+  std::vector<std::thread> publishers;
+  for (ProductId t = 0; t < 2; ++t) {
+    publishers.emplace_back([&, t] {
+      for (ProductId i = 0; i < kPerThread; ++i) {
+        const ProductId id = kFirst + t * kPerThread + i;
+        cluster->PublishUpdate(
+            AddMessage(id, static_cast<CategoryId>(id % 8), 1));
+      }
+    });
+  }
+  for (std::thread& publisher : publishers) publisher.join();
+  ASSERT_TRUE(cluster->WaitForUpdatesDrained());
+  std::size_t missing = 0;
+  for (ProductId id = kFirst; id < kFirst + 2 * kPerThread; ++id) {
+    const std::string url = MakeImageUrl(id, 0);
+    if (!PartitionServes(*cluster, cluster->partitioner().PartitionOf(url),
+                         url, id)) {
+      ++missing;
+    }
+  }
+  EXPECT_EQ(missing, 0u);
+}
+
 TEST(ClusterIntegrationTest, AllPartitionsServeData) {
   auto cluster = MakeCluster();
   const auto stats = cluster->AggregateIndexStats();

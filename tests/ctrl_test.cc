@@ -152,6 +152,35 @@ TEST(FailureDetectorTest, ProbeTimeoutSurvivesTotalProbeLoss) {
   detector.Stop();
 }
 
+TEST(FailureDetectorTest, StuckProbeCountsOneMiss) {
+  // Every probe is dropped and times out only after five periods. A probe
+  // counts at most one miss however many rounds it stays unanswered, so
+  // DOWN (two misses) takes a second probe, dispatched once the first one
+  // timed out.
+  obs::Registry registry;
+  ctrl::ReplicaStateTable table(&registry);
+  FaultInjector injector(12);
+  Node node("hb-stuck", 1);
+  node.set_fault_injector(&injector);
+  injector.SetLink("ctrl", node.name(),
+                   LinkFaults{.drop_probability = 1.0});
+  const std::size_t slot = table.Register(node.name());
+
+  ctrl::FailureDetectorConfig fc;
+  fc.heartbeat_period_micros = 2'000;
+  fc.probe_timeout_micros = 10'000;
+  fc.suspect_after_misses = 1;
+  fc.down_after_misses = 2;
+  ctrl::FailureDetector detector({{&node, slot}}, table, fc, &registry);
+  detector.Start();
+  ASSERT_TRUE(
+      WaitUntil([&] { return table.Get(slot) == ReplicaState::kDown; }));
+  const std::uint64_t sent_at_down = detector.heartbeats_sent();
+  detector.Stop();
+  EXPECT_GE(sent_at_down, 2u);
+  EXPECT_LE(detector.misses(), detector.heartbeats_sent());
+}
+
 TEST(FailureDetectorTest, LatencyOutlierEjectedDespiteHealthyHeartbeats) {
   // The gray-failure case: a replica acks every probe but answers queries
   // 50x slow. Heartbeat detection alone never touches it; the latency

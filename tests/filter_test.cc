@@ -179,7 +179,7 @@ TEST(AttributeFilterIndexTest, MaterializeFoldsCategoryAndRanges) {
   FilterExpression expr;
   expr.WithCategory(0).WithMin(FilterField::kSales, 100);
   const MaterializedFilter m =
-      filters.Materialize(expr, kNoCategoryFilter, nullptr);
+      filters.Materialize(expr, nullptr);
   EXPECT_EQ(m.universe, 200u);
   EXPECT_EQ(m.matches, 50u);  // even locals >= 100
   for (LocalId local = 0; local < 200; ++local) {
@@ -196,12 +196,12 @@ TEST(AttributeFilterIndexTest, MaterializeZeroMatches) {
   FilterExpression expr;
   expr.WithCategory(9);  // never appended
   const MaterializedFilter m =
-      filters.Materialize(expr, kNoCategoryFilter, nullptr);
+      filters.Materialize(expr, nullptr);
   EXPECT_EQ(m.matches, 0u);
   EXPECT_FALSE(m.Test(0));
 }
 
-TEST(AttributeFilterIndexTest, MaterializeFoldsValidityAndLegacyCategory) {
+TEST(AttributeFilterIndexTest, MaterializeFoldsValidityAndCategory) {
   AttributeFilterIndex filters;
   ValidityBitmap validity;
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -210,9 +210,8 @@ TEST(AttributeFilterIndexTest, MaterializeFoldsValidityAndLegacyCategory) {
     validity.Set(i, i % 5 != 0);  // every 5th image invalid
   }
   FilterExpression expr;
-  expr.WithMin(FilterField::kSales, 0);
-  const MaterializedFilter m = filters.Materialize(expr, /*category=*/1,
-                                                   &validity);
+  expr.WithCategory(1).WithMin(FilterField::kSales, 0);
+  const MaterializedFilter m = filters.Materialize(expr, &validity);
   for (LocalId local = 0; local < 100; ++local) {
     EXPECT_EQ(m.Test(local), local % 4 == 1 && local % 5 != 0) << local;
   }
@@ -226,7 +225,7 @@ TEST(AttributeFilterIndexTest, CategoryRangePredicateSweepsSlots) {
   FilterExpression expr;
   expr.WithCategoryRange(2, 4);
   const MaterializedFilter m =
-      filters.Materialize(expr, kNoCategoryFilter, nullptr);
+      filters.Materialize(expr, nullptr);
   EXPECT_EQ(m.matches, 30u);
   for (LocalId local = 0; local < 90; ++local) {
     EXPECT_EQ(m.Test(local), local % 9 >= 2 && local % 9 <= 4) << local;
@@ -335,8 +334,9 @@ TEST(IvfFilterTest, PushdownExactAcrossSelectivityRegimes) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const FeatureVector q = fx.Query(seed);
       FilterScanStats stats;
-      const auto hits = fx.index->Search(q, 10, all_lists, kNoCategoryFilter,
-                                         filter, &stats);
+      const auto hits = fx.index->Search(
+          q, 10,
+          {.nprobe = all_lists, .filter = &filter, .filter_stats = &stats});
       EXPECT_EQ(stats.strategy, regime.expect)
           << "min_sales=" << regime.min_sales;
       const auto oracle = fx.BruteForceTopK(q, 10, filter);
@@ -361,8 +361,8 @@ TEST(IvfFilterTest, DefaultNprobeHitsSatisfyPredicates) {
   FilterExpression filter;
   filter.WithCategory(3).WithMax(FilterField::kPriceCents, 7000);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto hits = fx.index->Search(fx.Query(seed), 10, 0,
-                                       kNoCategoryFilter, filter);
+    const auto hits =
+        fx.index->Search(fx.Query(seed), 10, {.filter = &filter});
     for (const auto& h : hits) {
       EXPECT_TRUE(filter.Matches(h.category, h.attributes)) << h.image_url;
     }
@@ -377,7 +377,8 @@ TEST(IvfFilterTest, ExtremeSelectivityWidensNprobeAndSkipsBlocks) {
   filter.WithMin(FilterField::kSales, fx.entries.size() - 2);  // 2 of 2000
   FilterScanStats stats;
   const auto hits =
-      fx.index->Search(fx.Query(9), 10, 0, kNoCategoryFilter, filter, &stats);
+      fx.index->Search(fx.Query(9), 10,
+                       {.filter = &filter, .filter_stats = &stats});
   EXPECT_TRUE(stats.widened_nprobe);
   EXPECT_EQ(stats.matches, 2u);
   EXPECT_EQ(stats.selectivity_bp, 10u);  // 0.1% = 10 basis points
@@ -393,7 +394,8 @@ TEST(IvfFilterTest, ZeroMatchFilterIsEmptyButSuccessful) {
   filter.WithMin(FilterField::kSales, 1u << 30);  // matches nothing
   FilterScanStats stats;
   const auto hits =
-      fx.index->Search(fx.Query(1), 10, 0, kNoCategoryFilter, filter, &stats);
+      fx.index->Search(fx.Query(1), 10,
+                       {.filter = &filter, .filter_stats = &stats});
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(stats.matches, 0u);
   EXPECT_EQ(stats.blocks_scanned, 0u);  // scan skipped entirely
@@ -402,19 +404,19 @@ TEST(IvfFilterTest, ZeroMatchFilterIsEmptyButSuccessful) {
 TEST(IvfFilterTest, EmptyFilterFallsBackToLegacySearch) {
   FlatFixture fx(500, 8);
   const FeatureVector q = fx.Query(4);
-  const auto filtered = fx.index->Search(q, 10, 0, kNoCategoryFilter,
-                                         FilterExpression{});
-  const auto legacy = fx.index->Search(q, 10);
-  EXPECT_EQ(UrlSet(filtered), UrlSet(legacy));
+  const FilterExpression empty;
+  const auto filtered = fx.index->Search(q, 10, {.filter = &empty});
+  const auto unfiltered = fx.index->Search(q, 10);
+  EXPECT_EQ(UrlSet(filtered), UrlSet(unfiltered));
 }
 
-TEST(IvfFilterTest, FilterConjoinsWithLegacyCategoryFilter) {
+TEST(IvfFilterTest, CategoryTermConjoinsWithRange) {
   FlatFixture fx(1000, 8);
   FilterExpression filter;
-  filter.WithMin(FilterField::kSales, 100);
-  const auto hits =
-      fx.index->Search(fx.Query(2), 10, fx.quantizer->num_clusters(),
-                       /*category_filter=*/5, filter);
+  filter.WithCategory(5).WithMin(FilterField::kSales, 100);
+  const auto hits = fx.index->Search(
+      fx.Query(2), 10,
+      {.nprobe = fx.quantizer->num_clusters(), .filter = &filter});
   ASSERT_FALSE(hits.empty());
   for (const auto& h : hits) {
     EXPECT_EQ(h.category, 5u);
@@ -430,8 +432,8 @@ TEST(IvfFilterTest, BaseClassFallbackFiltersCorrectly) {
   filter.WithCategory(1);
   FilterScanStats stats;
   const auto hits = PostFilteredSearch(
-      *fx.index, fx.Query(5), 10, fx.quantizer->num_clusters(),
-      kNoCategoryFilter, filter, &stats);
+      *fx.index, fx.Query(5), 10, fx.quantizer->num_clusters(), filter,
+      &stats);
   EXPECT_EQ(stats.strategy, FilterScanStats::Strategy::kFallback);
   ASSERT_EQ(hits.size(), 10u);
   const auto oracle = fx.BruteForceTopK(fx.Query(5), 10, filter);
@@ -444,14 +446,15 @@ TEST(IvfFilterTest, NumericUpdatesMoveImagesAcrossTheFilterBoundary) {
   filter.WithMin(FilterField::kSales, 1u << 20);
   const FeatureVector q(fx.entries[7].feature);
   EXPECT_TRUE(fx.index
-                  ->Search(q, 5, fx.quantizer->num_clusters(),
-                           kNoCategoryFilter, filter)
+                  ->Search(q, 5,
+                           {.nprobe = fx.quantizer->num_clusters(),
+                            .filter = &filter})
                   .empty());
   // Promote product 8 (entry 7) above the threshold: it must now be found.
   fx.index->UpdateProductAttributes(
       8, {.sales = 1u << 21, .price_cents = 1, .praise = 1});
-  const auto hits = fx.index->Search(q, 5, fx.quantizer->num_clusters(),
-                                     kNoCategoryFilter, filter);
+  const auto hits = fx.index->Search(
+      q, 5, {.nprobe = fx.quantizer->num_clusters(), .filter = &filter});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].product_id, 8u);
 }
@@ -479,8 +482,8 @@ TEST(IvfFilterTest, ConcurrentAttributeUpdatesDuringFilteredSearch) {
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < 200; ++i) {
-        const auto hits = fx.index->Search(fx.Query(t * 1000 + i), 5, 0,
-                                           kNoCategoryFilter, filter);
+        const auto hits =
+            fx.index->Search(fx.Query(t * 1000 + i), 5, {.filter = &filter});
         EXPECT_LE(hits.size(), 5u);
         for (const auto& h : hits) EXPECT_EQ(h.category, 2u);
       }
@@ -552,15 +555,15 @@ TEST(IvfPqFilterTest, HitsSatisfyPredicatesAcrossSelectivities) {
       FeatureVector q(kDim);
       for (float& x : q) x = static_cast<float>(rng.NextGaussian());
       FilterScanStats stats;
-      const auto hits = index->Search(q, 10, 0, kNoCategoryFilter, filter,
-                                      &stats);
+      const auto hits =
+          index->Search(q, 10, {.filter = &filter, .filter_stats = &stats});
       EXPECT_NE(stats.strategy, FilterScanStats::Strategy::kNone);
       for (const auto& h : hits) {
         EXPECT_GE(h.attributes.sales, min_sales) << h.image_url;
       }
       // With every list probed the candidate set is complete, so the hit
       // count must reach min(k, matching population).
-      const auto full = index->Search(q, 10, 16, kNoCategoryFilter, filter);
+      const auto full = index->Search(q, 10, {.nprobe = 16, .filter = &filter});
       EXPECT_EQ(full.size(), std::min<std::size_t>(10, 2000 - min_sales));
       for (const auto& h : full) {
         EXPECT_GE(h.attributes.sales, min_sales);
@@ -581,7 +584,7 @@ TEST(IvfPqFilterTest, RerankPreservesPredicates) {
   for (int qi = 0; qi < 10; ++qi) {
     FeatureVector q(kDim);
     for (float& x : q) x = static_cast<float>(rng.NextGaussian());
-    for (const auto& h : index->Search(q, 10, 0, kNoCategoryFilter, filter)) {
+    for (const auto& h : index->Search(q, 10, {.filter = &filter})) {
       EXPECT_EQ(h.category, 4u);
       EXPECT_GE(h.attributes.sales, 200u);
     }
@@ -596,7 +599,8 @@ TEST(IvfPqFilterTest, ZeroMatchIsEmptyButSuccessful) {
   FilterScanStats stats;
   FeatureVector q(kDim, 0.5f);
   EXPECT_TRUE(
-      index->Search(q, 10, 0, kNoCategoryFilter, filter, &stats).empty());
+      index->Search(q, 10, {.filter = &filter, .filter_stats = &stats})
+          .empty());
   EXPECT_EQ(stats.matches, 0u);
 }
 
@@ -613,9 +617,8 @@ TEST(QueryCacheFilterTest, QueriesDifferingOnlyInPredicateNeverShareEntries) {
   FilterExpression cheaper;
   cheaper.WithMax(FilterField::kPriceCents, 4999);
 
-  const auto key_cheap = cache.KeyFor(view, 10, 4, kNoCategoryFilter, cheap);
-  const auto key_cheaper =
-      cache.KeyFor(view, 10, 4, kNoCategoryFilter, cheaper);
+  const auto key_cheap = cache.KeyFor(view, 10, 4, cheap);
+  const auto key_cheaper = cache.KeyFor(view, 10, 4, cheaper);
   const auto key_unfiltered = cache.KeyFor(view, 10, 4);
   EXPECT_NE(key_cheap, key_cheaper);
   EXPECT_NE(key_cheap, key_unfiltered);
@@ -638,8 +641,7 @@ TEST(QueryCacheFilterTest, KeyIsDeterministicForEqualFilters) {
   a.WithCategory(3).WithMin(FilterField::kSales, 10);
   FilterExpression b;
   b.WithCategory(3).WithMin(FilterField::kSales, 10);
-  EXPECT_EQ(cache.KeyFor(view, 10, 4, kNoCategoryFilter, a),
-            cache.KeyFor(view, 10, 4, kNoCategoryFilter, b));
+  EXPECT_EQ(cache.KeyFor(view, 10, 4, a), cache.KeyFor(view, 10, 4, b));
 }
 
 // ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ TEST(FullIndexBuilderTest, BuiltIndexServesQueries) {
   ASSERT_TRUE(record.has_value());
   const auto query =
       fx.embedder.ExtractQuery(record->id, record->category, 1);
-  const auto hits = index->Search(query, 5, quantizer->num_clusters());
+  const auto hits =
+      index->Search(query, 5, {.nprobe = quantizer->num_clusters()});
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].product_id, record->id);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "cluster/kmeans.h"
@@ -199,7 +200,7 @@ TEST_P(IvfRecallTest, RecallVsExhaustive) {
   for (int q = 0; q < kQueries; ++q) {
     const FeatureVector probe =
         NearCentroid(*quantizer, rng.Below(4), 2.0f, 9000 + q);
-    const auto approx = index.Search(probe, 10, nprobe);
+    const auto approx = index.Search(probe, 10, {.nprobe = nprobe});
     const auto exact = index.SearchExhaustive(probe, 10);
     int found = 0;
     for (const auto& e : exact) {
@@ -232,18 +233,71 @@ TEST(IvfIndexTest, CategoryFilterScopesResults) {
                    NearCentroid(*quantizer, 0, 0.4f, 700 + i));
   }
   const FeatureVector probe = NearCentroid(*quantizer, 0, 0.1f, 999);
-  const auto unfiltered = index.Search(probe, 20, 4);
+  const auto unfiltered = index.Search(probe, 20, {.nprobe = 4});
   EXPECT_EQ(unfiltered.size(), 20u);
 
-  const auto only_zero = index.Search(probe, 20, 4, /*category_filter=*/0);
+  // A category scope is a filter term. Every list is probed, so each answer
+  // holds the exhaustive filtered top-k.
+  const auto ids = [](const std::vector<SearchHit>& hits) {
+    std::set<ImageId> out;
+    for (const auto& hit : hits) out.insert(hit.image_id);
+    return out;
+  };
+  const auto scoped = [&](CategoryId category, FilterScanStats* stats) {
+    FilterExpression filter;
+    filter.WithCategory(category);
+    const auto hits = index.Search(
+        probe, 20, {.nprobe = 4, .filter = &filter, .filter_stats = stats});
+    EXPECT_EQ(ids(hits), ids(index.SearchExhaustive(probe, 20, filter)));
+    return hits;
+  };
+  FilterScanStats stats;
+  const auto only_zero = scoped(0, &stats);
+  EXPECT_FALSE(stats.widened_nprobe);  // half the partition matches
   ASSERT_FALSE(only_zero.empty());
   for (const auto& hit : only_zero) EXPECT_EQ(hit.category, 0u);
-  const auto only_one = index.Search(probe, 20, 4, /*category_filter=*/1);
+  const auto only_one = scoped(1, &stats);
+  EXPECT_FALSE(stats.widened_nprobe);
   for (const auto& hit : only_one) EXPECT_EQ(hit.category, 1u);
   EXPECT_EQ(only_zero.size() + only_one.size(), 40u);
 
   // A category with no images returns nothing.
-  EXPECT_TRUE(index.Search(probe, 20, 4, /*category_filter=*/7).empty());
+  EXPECT_TRUE(scoped(7, &stats).empty());
+  EXPECT_EQ(stats.matches, 0u);
+}
+
+// The positional form the repository benchmark calls: a category scopes
+// the query exactly as a WithCategory term does, and kNoCategoryFilter
+// leaves it unfiltered.
+TEST(IvfIndexTest, PositionalCategoryFormForwardsToFilterTerm) {
+  auto quantizer = GridQuantizer();
+  IvfIndex index(quantizer);
+  for (int i = 0; i < 300; ++i) {
+    index.AddImage("u" + std::to_string(i), i + 1,
+                   static_cast<CategoryId>(i % 3), Attrs(), "",
+                   NearCentroid(*quantizer, i % 4, 0.5f, 1000 + i));
+  }
+  const auto same = [](const std::vector<SearchHit>& got,
+                       const std::vector<SearchHit>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].image_id, want[i].image_id) << i;
+      EXPECT_EQ(got[i].distance, want[i].distance) << i;
+    }
+  };
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const FeatureVector probe = NearCentroid(*quantizer, seed % 4, 1.f, seed);
+    for (CategoryId category = 0; category < 3; ++category) {
+      FilterExpression filter;
+      filter.WithCategory(category);
+      const auto positional = index.Search(probe, 10, 2, category);
+      ASSERT_FALSE(positional.empty());
+      same(positional,
+           index.Search(probe, 10, {.nprobe = 2, .filter = &filter}));
+    }
+    same(index.Search(probe, 10, 2, kNoCategoryFilter),
+         index.Search(probe, 10, {.nprobe = 2}));
+  }
 }
 
 TEST(IvfIndexTest, ConcurrentSearchDuringInserts) {

@@ -381,16 +381,17 @@ TEST(QosClusterTest, SearcherShedsExpiredWorkBeforeScanning) {
   // Sanity: a live deadline scans normally.
   Searcher& searcher = cluster->searcher(0);
   auto live = searcher.SearchAsync(
-      FeatureVector(16, 0.f), 5, 0, kNoCategoryFilter, FilterExpression{},
-      qos::Deadline::FromBudget(MonotonicClock::Instance(), 10'000'000));
+      FeatureVector(16, 0.f), 5,
+      {.deadline =
+           qos::Deadline::FromBudget(MonotonicClock::Instance(), 10'000'000)});
   EXPECT_NO_THROW(live.get());
   const auto scans_before = scans->Count();
   EXPECT_EQ(scans_before, 1u);
   // An expired deadline is re-checked on the searcher's pool thread and
   // fails fast without running the scan.
   auto dead = searcher.SearchAsync(
-      FeatureVector(16, 0.f), 5, 0, kNoCategoryFilter, FilterExpression{},
-      qos::Deadline::FromBudget(MonotonicClock::Instance(), 0));
+      FeatureVector(16, 0.f), 5,
+      {.deadline = qos::Deadline::FromBudget(MonotonicClock::Instance(), 0)});
   EXPECT_THROW(dead.get(), qos::DeadlineExceededError);
   EXPECT_EQ(scans->Count(), scans_before);
   EXPECT_EQ(TierDeadlines(*cluster, "searcher"), 1u);
@@ -402,8 +403,8 @@ TEST(QosClusterTest, BrokerShedsExpiredFanOutBeforeDispatch) {
       obs::Labeled("jdvs_stage_micros", "stage", "searcher_scan"));
   ASSERT_NE(scans, nullptr);
   auto dead = cluster->broker(0).SearchAsync(
-      FeatureVector(16, 0.f), 5, 0, kNoCategoryFilter, FilterExpression{},
-      qos::Deadline::FromBudget(MonotonicClock::Instance(), 0));
+      FeatureVector(16, 0.f), 5,
+      {.deadline = qos::Deadline::FromBudget(MonotonicClock::Instance(), 0)});
   EXPECT_THROW(dead.get(), qos::DeadlineExceededError);
   // The fan-out never dispatched: no searcher scanned, no searcher raised.
   EXPECT_EQ(scans->Count(), 0u);

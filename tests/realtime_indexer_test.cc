@@ -65,7 +65,7 @@ TEST(RealTimeIndexerTest, AdditionCreatesSearchableEntries) {
   EXPECT_TRUE(fx.index.HasProduct(1));
   // Data freshness: immediately searchable.
   const auto query = fx.embedder.ExtractQuery(1, 2, 7);
-  const auto hits = fx.index.Search(query, 3, /*nprobe=*/8);
+  const auto hits = fx.index.Search(query, 3, {.nprobe = 8});
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].product_id, 1u);
 
@@ -86,7 +86,7 @@ TEST(RealTimeIndexerTest, DeletionInvalidatesAllImages) {
   EXPECT_EQ(fx.indexer.counters().deletions, 1u);
   EXPECT_EQ(fx.indexer.counters().images_invalidated, 3u);
   const auto query = fx.embedder.ExtractQuery(1, 2, 7);
-  EXPECT_TRUE(fx.index.Search(query, 3, 8).empty());
+  EXPECT_TRUE(fx.index.Search(query, 3, {.nprobe = 8}).empty());
 }
 
 TEST(RealTimeIndexerTest, RelistingReusesIndexEntries) {
@@ -105,7 +105,7 @@ TEST(RealTimeIndexerTest, RelistingReusesIndexEntries) {
   EXPECT_EQ(counters.images_revalidated, 3u);
   EXPECT_EQ(counters.features_extracted, 3u);  // only the original ones
   const auto query = fx.embedder.ExtractQuery(1, 2, 7);
-  EXPECT_FALSE(fx.index.Search(query, 3, 8).empty());
+  EXPECT_FALSE(fx.index.Search(query, 3, {.nprobe = 8}).empty());
 }
 
 TEST(RealTimeIndexerTest, AdditionWithPrewarmedFeaturesCountsReuse) {
@@ -132,7 +132,7 @@ TEST(RealTimeIndexerTest, AttributeUpdateTouchesAllProductImages) {
   EXPECT_EQ(fx.indexer.counters().attribute_updates, 1u);
   EXPECT_EQ(fx.indexer.counters().entries_touched, 3u);
   const auto query = fx.embedder.ExtractQuery(1, 2, 7);
-  const auto hits = fx.index.Search(query, 1, 8);
+  const auto hits = fx.index.Search(query, 1, {.nprobe = 8});
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].attributes.sales, 500u);
 }

@@ -193,6 +193,37 @@ TEST(SearcherTest, SearchBeforeInstallThrows) {
                std::runtime_error);
 }
 
+// The positional SearchLocal form the repository benchmark calls conjoins
+// the category to the filter exactly as a WithCategory term does, and
+// kNoCategoryFilter leaves the filter as it is.
+TEST(SearcherTest, PositionalCategoryFormForwardsToFilterTerm) {
+  MiniCluster mini;
+  FilterExpression sales;
+  sales.WithMin(FilterField::kSales, 0);
+  for (ProductId id = 1; id <= 12; ++id) {
+    const auto record = mini.catalog.Get(id);
+    const auto query =
+        mini.embedder.ExtractQuery(record->id, record->category, id);
+    FilterExpression scoped = sales;
+    scoped.WithCategory(record->category);
+    FilterScanStats positional_stats;
+    FilterScanStats term_stats;
+    const auto positional = mini.searcher_a->SearchLocal(
+        query, 5, 0, record->category, sales, &positional_stats);
+    ASSERT_FALSE(positional.empty());
+    ExpectSameHitList(positional,
+                      mini.searcher_a->SearchLocal(
+                          query, 5,
+                          {.filter = &scoped, .filter_stats = &term_stats}));
+    EXPECT_EQ(positional_stats.strategy, term_stats.strategy);
+    EXPECT_EQ(positional_stats.selectivity_bp, term_stats.selectivity_bp);
+    ExpectSameHitList(
+        mini.searcher_a->SearchLocal(query, 5, 0, kNoCategoryFilter, sales,
+                                     nullptr),
+        mini.searcher_a->SearchLocal(query, 5, {.filter = &sales}));
+  }
+}
+
 TEST(SearcherTest, SearchAsyncReturnsPartitionResults) {
   MiniCluster mini;
   const auto record = mini.catalog.Get(10);
@@ -309,12 +340,10 @@ TEST(SearcherTest, DeadlineBoundsTieredFaultTime) {
         mini.embedder.ExtractQuery(record->id, record->category, 1);
     const auto deadline =
         qos::Deadline::FromBudget(MonotonicClock::Instance(), 30'000);
-    EXPECT_FALSE(tiered
-                     .SearchAsync(query, /*k=*/5, /*nprobe=*/0,
-                                  kNoCategoryFilter, FilterExpression{},
-                                  deadline)
-                     .get()
-                     .empty());
+    EXPECT_FALSE(
+        tiered.SearchAsync(query, /*k=*/5, {.deadline = deadline})
+            .get()
+            .empty());
     const std::uint64_t dropped_under_deadline = dropped.Value();
     EXPECT_GT(dropped_under_deadline, 0u);
 
@@ -400,9 +429,7 @@ class FailingTieredReplica {
 // The broker's full reply (the future facade returns only the hits).
 Broker::Reply SearchForReply(Broker& broker, FeatureVector query) {
   auto [done, reply] = PromiseCallback<Broker::Reply>();
-  broker.SearchAsync(std::move(query), /*k=*/10, /*nprobe=*/0,
-                     kNoCategoryFilter, FilterExpression{}, qos::Deadline{},
-                     obs::TraceContext{}, std::move(done));
+  broker.SearchAsync(std::move(query), /*k=*/10, {}, std::move(done));
   return reply.get();
 }
 
@@ -430,7 +457,7 @@ TEST(BrokerTest, LateScanAfterAttemptTimeoutTouchesNoFanOutState) {
       broker
           .SearchAsync(mini.embedder.ExtractQuery(record->id,
                                                   record->category, 2),
-                       /*k=*/10, /*nprobe=*/0, kNoCategoryFilter, filter)
+                       /*k=*/10, {.filter = filter})
           .get();
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(broker.rpc_timeouts(), 1u);
@@ -646,11 +673,59 @@ TEST(BlenderTest, ExplicitCategoryFilterInOptions) {
   QueryOptions qo;
   qo.k = 10;
   // Filter to a *different* category: the subject must not appear.
-  qo.category_filter = (record->category + 1) % 6;
+  const CategoryId other = (record->category + 1) % 6;
+  qo.filter.WithCategory(other);
   const auto response = mini.blender->Search(mini.QueryFor(14, 2), qo);
   for (const auto& r : response.results) {
-    EXPECT_EQ(r.hit.category, qo.category_filter);
+    EXPECT_EQ(r.hit.category, other);
     EXPECT_NE(r.hit.product_id, 14u);
+  }
+}
+
+// A category scope is one filter term whichever way it arrives: set in
+// QueryOptions::filter or added by a blender from its detector, the
+// cluster's answer is the merge of every partition's SearchLocal answer
+// under the same nprobe and filter, ranked as the blender ranks, and every
+// hit is in the category.
+TEST(BlenderTest, CategoryScopeMatchesPartitionOracle) {
+  MiniCluster mini;
+  const QueryImage query = mini.QueryFor(14, 2);
+  const CategoryId category = query.true_category;
+  constexpr std::size_t kK = 5;
+  QueryOptions scoped{.k = kK};
+  scoped.filter.WithCategory(category);
+  const QueryResponse explicit_answer = mini.blender->Search(query, scoped);
+
+  Blender::Config bc;
+  bc.use_category_filter = true;
+  Blender detecting("bl-detect", bc, mini.embedder, mini.detector,
+                    std::vector<Broker*>{mini.broker.get()});
+  const QueryResponse detected_answer =
+      detecting.Search(query, QueryOptions{.k = kK});
+  ASSERT_EQ(detected_answer.detected_category, category);
+
+  // The blender fetches 2k from below, then ranks and keeps k.
+  FilterExpression filter;
+  filter.WithCategory(category);
+  const FeatureVector feature = mini.embedder.ExtractQuery(
+      query.subject_product, query.true_category, query.query_seed);
+  std::vector<std::vector<SearchHit>> partials;
+  for (const Searcher* searcher :
+       {mini.searcher_a.get(), mini.searcher_b.get()}) {
+    partials.push_back(
+        searcher->SearchLocal(feature, 2 * kK, {.filter = &filter}));
+  }
+  const std::vector<RankedResult> want =
+      RankResults(MergeHits(std::move(partials), 2 * kK), category,
+                  RankingConfig{}, kK);
+  ASSERT_EQ(want.size(), kK);
+  for (const QueryResponse* got : {&explicit_answer, &detected_answer}) {
+    EXPECT_FALSE(got->degraded);
+    ASSERT_EQ(got->results.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got->results[i].hit.image_id, want[i].hit.image_id) << i;
+      EXPECT_EQ(got->results[i].hit.category, category) << i;
+    }
   }
 }
 
@@ -667,6 +742,29 @@ TEST(BlenderTest, MisdetectionWithFilterExcludesSubject) {
   for (const auto& r : response.results) {
     EXPECT_NE(r.hit.product_id, 14u);  // filtered out by the wrong category
   }
+}
+
+TEST(BlenderTest, ExplicitCategoryScopeOverridesDetector) {
+  MiniCluster mini;
+  // The detector is always wrong, but the query names its own category, so
+  // the blender adds no second (conflicting) category term.
+  CategoryDetector bad_detector({.num_categories = 6, .top1_accuracy = 0.0});
+  Blender::Config bc;
+  bc.use_category_filter = true;
+  Blender scoped("bl-explicit", bc, mini.embedder, bad_detector,
+                 std::vector<Broker*>{mini.broker.get()});
+  const QueryImage query = mini.QueryFor(14, 2);
+  QueryOptions qo{.k = 10};
+  qo.filter.WithCategory(query.true_category);
+  const auto response = scoped.Search(query, qo);
+  ASSERT_NE(response.detected_category, query.true_category);
+  ASSERT_FALSE(response.results.empty());
+  bool found = false;
+  for (const auto& r : response.results) {
+    EXPECT_EQ(r.hit.category, query.true_category);
+    found |= r.hit.product_id == 14u;
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(BlenderTest, ResultCacheServesRepeatQueries) {
@@ -1035,8 +1133,7 @@ TEST_P(PqSearcherTest, ServesPqCodedPartition) {
   for (ProductId pid = 1; pid <= 10; ++pid) {
     const auto filtered =
         searcher
-            .SearchAsync(Query(pid, 100 + pid), /*k=*/5, /*nprobe=*/0,
-                         kNoCategoryFilter, filter)
+            .SearchAsync(Query(pid, 100 + pid), /*k=*/5, {.filter = filter})
             .get();
     EXPECT_FALSE(filtered.empty());
     for (const SearchHit& hit : filtered) {

@@ -114,9 +114,9 @@ TEST_F(SnapshotTest, RoundTripPreservesFilteredSearch) {
     const auto query =
         built.embedder.ExtractQuery(pid, record->category, pid);
     const auto original =
-        built.index->Search(query, 5, 16, kNoCategoryFilter, filter);
+        built.index->Search(query, 5, {.nprobe = 16, .filter = &filter});
     const auto restored =
-        loaded->Search(query, 5, 16, kNoCategoryFilter, filter);
+        loaded->Search(query, 5, {.nprobe = 16, .filter = &filter});
     ASSERT_EQ(original.size(), restored.size()) << "pid " << pid;
     for (std::size_t i = 0; i < original.size(); ++i) {
       EXPECT_EQ(original[i].image_id, restored[i].image_id);
@@ -133,7 +133,7 @@ TEST_F(SnapshotTest, LoadedIndexAcceptsNewWrites) {
   auto loaded = LoadIndexSnapshot(path);
   const auto feature = built.embedder.Extract({"new-image", 999, 3});
   loaded->AddImage("new-image", 999, 3, {.sales = 1}, "", feature);
-  const auto hits = loaded->Search(feature, 1, /*nprobe=*/16);
+  const auto hits = loaded->Search(feature, 1, {.nprobe = 16});
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].product_id, 999u);
 }
@@ -442,8 +442,9 @@ TEST_F(SnapshotTest, PqMappedLoadIsBitExact) {
         EXPECT_EQ(original[i].distance, restored[i].distance);
       }
       const auto want =
-          built.index->Search(query, 5, 8, kNoCategoryFilter, filter);
-      const auto got = mapped->Search(query, 5, 8, kNoCategoryFilter, filter);
+          built.index->Search(query, 5, {.nprobe = 8, .filter = &filter});
+      const auto got =
+          mapped->Search(query, 5, {.nprobe = 8, .filter = &filter});
       ASSERT_EQ(want.size(), got.size()) << "filtered pid " << pid;
       for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(want[i].image_id, got[i].image_id);

@@ -120,8 +120,9 @@ TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
     const auto record = built.catalog.Get(pid);
     const auto query = built.embedder.ExtractQuery(pid, record->category, pid);
     ExpectSameResults(
-        built.index->Search(query, 5, 16, kNoCategoryFilter, filter),
-        mapped->Search(query, 5, 16, kNoCategoryFilter, filter), "filtered");
+        built.index->Search(query, 5, {.nprobe = 16, .filter = &filter}),
+        mapped->Search(query, 5, {.nprobe = 16, .filter = &filter}),
+        "filtered");
   }
 }
 
@@ -191,7 +192,7 @@ TEST_F(TierTest, MappedIndexAcceptsNewWrites) {
   const auto before = ComputeIndexDigest(*mapped);
   const auto feature = built.embedder.Extract({"tier-new-image", 999, 3});
   mapped->AddImage("tier-new-image", 999, 3, {.sales = 1}, "", feature);
-  const auto hits = mapped->Search(feature, 1, /*nprobe=*/16);
+  const auto hits = mapped->Search(feature, 1, {.nprobe = 16});
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].product_id, 999u);
   // The frozen prefix is untouched: removing nothing, digest grew by the
@@ -605,9 +606,8 @@ TEST_F(TierTest, BitFlipQuarantinesAtFaultInAndQueriesDegradeCorrectly) {
     const auto record = built.catalog.Get(pid);
     const auto query = built.embedder.ExtractQuery(pid, record->category, pid);
     TierScanStats tstats;
-    const auto hits = mapped->Search(query, 5, /*nprobe=*/16,
-                                     kNoCategoryFilter, nullptr, nullptr,
-                                     /*io_budget_micros=*/0, &tstats);
+    const auto hits =
+        mapped->Search(query, 5, {.nprobe = 16, .tier_stats = &tstats});
     if (tstats.lists_quarantined > 0) ++degraded_queries;
     const auto truth = ExhaustiveDistances(*built.index, query);
     for (const SearchHit& hit : hits) {
@@ -655,7 +655,7 @@ TEST_F(TierTest, ScrubFindsCorruptionBeforeAnyQueryTouchesIt) {
   // Queries after the scrub skip the poisoned list without ever faulting it.
   const auto record = built.catalog.Get(1);
   const auto query = built.embedder.ExtractQuery(1, record->category, 1);
-  const auto hits = mapped->Search(query, 5, /*nprobe=*/16);
+  const auto hits = mapped->Search(query, 5, {.nprobe = 16});
   EXPECT_FALSE(hits.empty());
 }
 
@@ -699,7 +699,7 @@ TEST_F(TierTest, TruncationBehindMappingSurvivesAsQuarantine) {
   // End-to-end: searches still complete (lists before the cut still serve).
   const auto record = built.catalog.Get(1);
   const auto query = built.embedder.ExtractQuery(1, record->category, 1);
-  const auto hits = mapped->Search(query, 5, /*nprobe=*/16);
+  const auto hits = mapped->Search(query, 5, {.nprobe = 16});
   EXPECT_FALSE(hits.empty());
 }
 #endif
@@ -724,8 +724,8 @@ TEST_F(TierTest, FailNextFaultInInjectsOneQuarantine) {
   const auto record = built.catalog.Get(1);
   const auto query = built.embedder.ExtractQuery(1, record->category, 1);
   TierScanStats tstats;
-  const auto hits = mapped->Search(query, 5, /*nprobe=*/16, kNoCategoryFilter,
-                                   nullptr, nullptr, 0, &tstats);
+  const auto hits =
+      mapped->Search(query, 5, {.nprobe = 16, .tier_stats = &tstats});
   EXPECT_FALSE(hits.empty());
   EXPECT_EQ(store.quarantined_lists(), 1u);
   EXPECT_EQ(injector.storage_faults_injected(), 1u);
@@ -735,7 +735,7 @@ TEST_F(TierTest, FailNextFaultInInjectsOneQuarantine) {
   for (ProductId pid = 2; pid <= 10; ++pid) {
     const auto r = built.catalog.Get(pid);
     const auto q = built.embedder.ExtractQuery(pid, r->category, pid);
-    EXPECT_FALSE(mapped->Search(q, 5, 16).empty());
+    EXPECT_FALSE(mapped->Search(q, 5, {.nprobe = 16}).empty());
   }
   EXPECT_EQ(store.quarantined_lists(), 1u);  // no further poisoning
 }
