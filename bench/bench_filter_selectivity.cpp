@@ -3,12 +3,11 @@
 // Structured predicates ("price <= X and sales >= Y") conjoined with the
 // visual query change the scan's economics with the filter's selectivity.
 // This harness sweeps three regimes — ~50% (broad), ~5% (narrow), ~0.1%
-// (needle) — over the flat IVF and the IVF-PQ index, and compares bitmap
-// predicate pushdown (materialize once, skip wholly-dead 64-entry
-// sub-blocks, widen nprobe when the filter is starving the probe set)
-// against the naive baseline: search unfiltered, post-filter the hits, and
-// re-scan with 4x the fetch depth until k survivors accumulate
-// (PostFilteredSearch).
+// (needle) — over the IVF index, and compares bitmap predicate pushdown
+// (materialize once, skip wholly-dead 64-entry sub-blocks, widen nprobe when
+// the filter is starving the probe set) against the naive baseline: search
+// unfiltered, post-filter the hits, and re-scan with 4x the fetch depth
+// until k survivors accumulate (PostFilteredSearch).
 //
 // Attributes are drawn from the workload generator's Zipf-like sampler, so
 // the thresholds are picked from the sampled distribution's quantiles the
@@ -30,10 +29,7 @@ using namespace jdvs;
 using namespace jdvs::bench;
 
 struct Corpus {
-  std::shared_ptr<const CoarseQuantizer> quantizer;
-  std::shared_ptr<const ProductQuantizer> pq;
-  std::unique_ptr<IvfIndex> flat;
-  std::unique_ptr<IvfIndex> ivfpq;
+  std::unique_ptr<IvfIndex> index;
   std::vector<std::uint64_t> sales_sorted;  // for quantile thresholds
   std::vector<FeatureVector> queries;
 };
@@ -54,20 +50,10 @@ Corpus BuildCorpus(std::size_t images, std::size_t num_queries,
   }
   KMeansConfig kc;
   kc.num_clusters = kClusters;
-  corpus.quantizer =
-      std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc));
-  ProductQuantizerConfig pc;
-  pc.num_subspaces = 8;
-  pc.codebook_size = 64;
-  corpus.pq = std::make_shared<ProductQuantizer>(
-      ProductQuantizer::Train(training, pc));
-
   IvfIndexConfig fc;
   fc.nprobe = 8;
-  corpus.flat = std::make_unique<IvfIndex>(corpus.quantizer, fc);
-  IvfIndexConfig qc;
-  qc.nprobe = 8;
-  corpus.ivfpq = std::make_unique<IvfIndex>(corpus.quantizer, corpus.pq, qc);
+  corpus.index = std::make_unique<IvfIndex>(
+      std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc)), fc);
 
   for (std::size_t i = 0; i < images; ++i) {
     const auto product = static_cast<ProductId>(i + 1);
@@ -76,8 +62,7 @@ Corpus BuildCorpus(std::size_t images, std::size_t num_queries,
     for (float& x : v) x = static_cast<float>(rng.NextGaussian());
     const std::string url = MakeImageUrl(product, 0);
     const auto category = static_cast<CategoryId>(i % 50);
-    corpus.flat->AddImage(url, product, category, attrs, "", v);
-    corpus.ivfpq->AddImage(url, product, category, attrs, "", v);
+    corpus.index->AddImage(url, product, category, attrs, "", v);
     corpus.sales_sorted.push_back(attrs.sales);
   }
   std::sort(corpus.sales_sorted.begin(), corpus.sales_sorted.end());
@@ -94,8 +79,7 @@ Corpus BuildCorpus(std::size_t images, std::size_t num_queries,
 struct SweepRow {
   const char* regime;
   double target_selectivity;
-  const char* engine;  // "flat" | "ivfpq"
-  const char* mode;    // "pushdown" | "naive"
+  const char* mode;  // "pushdown" | "naive"
   double qps = 0.0;
   double mean_us = 0.0;
   std::int64_t p99_us = 0;
@@ -108,10 +92,10 @@ struct SweepRow {
 };
 
 template <typename SearchFn>
-SweepRow Measure(const char* regime, double target, const char* engine,
-                 const char* mode, const std::vector<FeatureVector>& queries,
-                 std::size_t k, SearchFn&& search) {
-  SweepRow row{regime, target, engine, mode};
+SweepRow Measure(const char* regime, double target, const char* mode,
+                 const std::vector<FeatureVector>& queries, std::size_t k,
+                 SearchFn&& search) {
+  SweepRow row{regime, target, mode};
   const auto& clock = MonotonicClock::Instance();
   Histogram latency;
   std::size_t hits_total = 0;
@@ -131,8 +115,8 @@ SweepRow Measure(const char* regime, double target, const char* engine,
 }
 
 void PrintRow(const SweepRow& row) {
-  std::printf("%8s %6s %9s %9.0f %9.1f %8lld %7.1f %10s %8.1f\n", row.regime,
-              row.engine, row.mode, row.qps, row.mean_us,
+  std::printf("%8s %9s %9.0f %9.1f %8lld %7.1f %10s %8.1f\n", row.regime,
+              row.mode, row.qps, row.mean_us,
               static_cast<long long>(row.p99_us), row.hits_mean,
               row.strategy.empty() ? "-" : row.strategy.c_str(),
               row.blocks_skipped_mean);
@@ -143,7 +127,6 @@ Json RowJson(const SweepRow& row) {
   j.Set("regime", row.regime);
   j.Set("target_selectivity", row.target_selectivity);
   j.Set("actual_selectivity", row.actual_selectivity);
-  j.Set("engine", row.engine);
   j.Set("mode", row.mode);
   j.Set("qps", row.qps);
   j.Set("mean_us", row.mean_us);
@@ -195,9 +178,8 @@ int main(int argc, char** argv) {
   };
   const Regime regimes[] = {{"50%", 0.5}, {"5%", 0.05}, {"0.1%", 0.001}};
 
-  std::printf("%8s %6s %9s %9s %9s %8s %7s %10s %8s\n", "regime", "engine",
-              "mode", "QPS", "mean us", "p99 us", "hits", "strategy",
-              "blk skip");
+  std::printf("%8s %9s %9s %9s %8s %7s %10s %8s\n", "regime", "mode", "QPS",
+              "mean us", "p99 us", "hits", "strategy", "blk skip");
   Json rows = Json::Array();
   std::vector<SweepRow> all_rows;
   for (const Regime& regime : regimes) {
@@ -238,37 +220,11 @@ int main(int argc, char** argv) {
     };
 
     SweepRow row = Measure(
-        regime.name, regime.selectivity, "flat", "pushdown", corpus.queries,
-        kTopK, [&](const FeatureVector& q, std::size_t k) {
+        regime.name, regime.selectivity, "pushdown", corpus.queries, kTopK,
+        [&](const FeatureVector& q, std::size_t k) {
           FilterScanStats stats;
           const auto hits =
-              corpus.flat->Search(q, k,
-                                  {.filter = &filter, .filter_stats = &stats});
-          pushdown_stats(stats);
-          return hits.size();
-        });
-    finish_pushdown(row);
-    PrintRow(row);
-    rows.Push(RowJson(row));
-    all_rows.push_back(row);
-
-    row = Measure(regime.name, regime.selectivity, "flat", "naive",
-                  corpus.queries, kTopK,
-                  [&](const FeatureVector& q, std::size_t k) {
-                    return PostFilteredSearch(*corpus.flat, q, k, 0, filter)
-                        .size();
-                  });
-    row.actual_selectivity = actual;
-    PrintRow(row);
-    rows.Push(RowJson(row));
-    all_rows.push_back(row);
-
-    row = Measure(
-        regime.name, regime.selectivity, "ivfpq", "pushdown", corpus.queries,
-        kTopK, [&](const FeatureVector& q, std::size_t k) {
-          FilterScanStats stats;
-          const auto hits =
-              corpus.ivfpq->Search(q, k,
+              corpus.index->Search(q, k,
                                    {.filter = &filter, .filter_stats = &stats});
           pushdown_stats(stats);
           return hits.size();
@@ -278,10 +234,9 @@ int main(int argc, char** argv) {
     rows.Push(RowJson(row));
     all_rows.push_back(row);
 
-    row = Measure(regime.name, regime.selectivity, "ivfpq", "naive",
-                  corpus.queries, kTopK,
-                  [&](const FeatureVector& q, std::size_t k) {
-                    return PostFilteredSearch(*corpus.ivfpq, q, k, 0, filter)
+    row = Measure(regime.name, regime.selectivity, "naive", corpus.queries,
+                  kTopK, [&](const FeatureVector& q, std::size_t k) {
+                    return PostFilteredSearch(*corpus.index, q, k, 0, filter)
                         .size();
                   });
     row.actual_selectivity = actual;
@@ -297,36 +252,33 @@ int main(int argc, char** argv) {
   // post-filter mode (no bitmap materialization) and must still beat naive
   // over-fetch — the pay-off of the selectivity probe.
   const auto summarize = [&all_rows](const char* regime_name) {
-    Json per_engine = Json::Object();
-    for (const char* engine : {"flat", "ivfpq"}) {
-      double push_qps = 0.0;
-      double naive_qps = 0.0;
-      double push_hits = 0.0;
-      double naive_hits = 0.0;
-      for (const SweepRow& row : all_rows) {
-        if (std::strcmp(row.regime, regime_name) != 0 ||
-            std::strcmp(row.engine, engine) != 0) {
-          continue;
-        }
-        (std::strcmp(row.mode, "pushdown") == 0 ? push_qps : naive_qps) =
-            row.qps;
-        (std::strcmp(row.mode, "pushdown") == 0 ? push_hits : naive_hits) =
-            row.hits_mean;
-      }
-      Json j = Json::Object();
-      j.Set("pushdown_qps", push_qps);
-      j.Set("naive_qps", naive_qps);
-      j.Set("qps_ratio", naive_qps > 0 ? push_qps / naive_qps : 0.0);
-      j.Set("pushdown_hits_mean", push_hits);
-      j.Set("naive_hits_mean", naive_hits);
-      per_engine.Set(engine, std::move(j));
-      std::printf("\n%s @%s: pushdown %.0f QPS vs naive %.0f QPS (%.1fx), "
-                  "hits %.1f vs %.1f",
-                  engine, regime_name, push_qps, naive_qps,
-                  naive_qps > 0 ? push_qps / naive_qps : 0.0, push_hits,
-                  naive_hits);
+    double push_qps = 0.0;
+    double naive_qps = 0.0;
+    double push_hits = 0.0;
+    double naive_hits = 0.0;
+    for (const SweepRow& row : all_rows) {
+      if (std::strcmp(row.regime, regime_name) != 0) continue;
+      (std::strcmp(row.mode, "pushdown") == 0 ? push_qps : naive_qps) =
+          row.qps;
+      (std::strcmp(row.mode, "pushdown") == 0 ? push_hits : naive_hits) =
+          row.hits_mean;
     }
-    return per_engine;
+    Json j = Json::Object();
+    j.Set("pushdown_qps", push_qps);
+    j.Set("naive_qps", naive_qps);
+    j.Set("qps_ratio", naive_qps > 0 ? push_qps / naive_qps : 0.0);
+    j.Set("pushdown_hits_mean", push_hits);
+    j.Set("naive_hits_mean", naive_hits);
+    std::printf("\n%s: pushdown %.0f QPS vs naive %.0f QPS (%.1fx), "
+                "hits %.1f vs %.1f",
+                regime_name, push_qps, naive_qps,
+                naive_qps > 0 ? push_qps / naive_qps : 0.0, push_hits,
+                naive_hits);
+    // Keyed "flat" so readers of BENCH_filter_selectivity.json keep their
+    // paths into each regime summary.
+    Json summary = Json::Object();
+    summary.Set("flat", std::move(j));
+    return summary;
   };
   Json speedups = summarize("0.1%");
   Json broad = summarize("50%");

@@ -184,51 +184,6 @@ void BM_SyntheticEmbedderExtract(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticEmbedderExtract);
 
-void BM_PqEncode(benchmark::State& state) {
-  Rng rng(11);
-  std::vector<FeatureVector> training;
-  for (int i = 0; i < 1024; ++i) training.push_back(RandomVector(rng, 64));
-  ProductQuantizerConfig pc;
-  pc.num_subspaces = 8;
-  pc.codebook_size = 256;
-  const ProductQuantizer pq = ProductQuantizer::Train(training, pc);
-  const FeatureVector v = RandomVector(rng, 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pq.Encode(v));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PqEncode);
-
-void BM_PqAdcScan(benchmark::State& state) {
-  // ADC distance over a block of codes: the IVF-PQ inner loop.
-  Rng rng(12);
-  std::vector<FeatureVector> training;
-  for (int i = 0; i < 1024; ++i) training.push_back(RandomVector(rng, 64));
-  ProductQuantizerConfig pc;
-  pc.num_subspaces = 8;
-  pc.codebook_size = 256;
-  const ProductQuantizer pq = ProductQuantizer::Train(training, pc);
-  constexpr int kCodes = 4096;
-  std::vector<std::uint8_t> codes;
-  codes.reserve(kCodes * pq.code_bytes());
-  for (int i = 0; i < kCodes; ++i) {
-    const PqCode code = pq.Encode(RandomVector(rng, 64));
-    codes.insert(codes.end(), code.begin(), code.end());
-  }
-  const FeatureVector q = RandomVector(rng, 64);
-  const auto table = pq.BuildDistanceTable(q);
-  for (auto _ : state) {
-    float sum = 0.f;
-    for (int i = 0; i < kCodes; ++i) {
-      sum += pq.DistanceWithTable(table, codes.data() + i * pq.code_bytes());
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kCodes);
-}
-BENCHMARK(BM_PqAdcScan);
-
 void BM_QueryCacheLookupHit(benchmark::State& state) {
   QueryCache cache(64);
   Rng rng(14);
@@ -382,13 +337,6 @@ std::vector<Row> KernelRows(std::size_t dim, std::size_t rows_count,
     query.get()[d] = static_cast<float>(rng.NextGaussian());
   }
 
-  // ADC corpus: m=8 subspaces, 256 centroids — the paper's PQ shape.
-  constexpr std::size_t kM = 8, kKs = 256;
-  std::vector<float> table(kM * kKs);
-  for (float& x : table) x = static_cast<float>(rng.NextDouble());
-  std::vector<std::uint8_t> codes(rows_count * kM);
-  for (std::uint8_t& c : codes) c = static_cast<std::uint8_t>(rng.Below(kKs));
-
   std::vector<float> out(rows_count);
   std::vector<Row> result;
   const std::string dim_tag = "/d" + std::to_string(dim) + "/" + regime;
@@ -418,16 +366,6 @@ std::vector<Row> KernelRows(std::size_t dim, std::size_t rows_count,
     result.push_back({"l2sq_batch4" + dim_tag, KernelTierName(tier),
                       rows_count * row_bytes / b4_secs / 1e9,
                       rows_count / b4_secs});
-
-    const double adc_secs = TimePerCall([&] {
-      kernels->pq_adc_scan(table.data(), kKs, codes.data(), kM, rows_count,
-                           out.data());
-      benchmark::DoNotOptimize(out.data());
-    });
-    result.push_back({"pq_adc_scan/m8/" + std::string(regime),
-                      KernelTierName(tier),
-                      rows_count * static_cast<double>(kM) / adc_secs / 1e9,
-                      rows_count / adc_secs});
   }
   return result;
 }

@@ -4,9 +4,10 @@
 // nodes receive the result as an artifact rather than rebuilding locally.
 // This example builds a partition index, saves it to disk, "ships" it to a
 // fresh searcher via InstallFromSnapshot, and verifies both serve identical
-// results — including for the compressed IVF-PQ form.
+// results: it exits nonzero if any probe query's answer differs.
 //
 //   ./index_distribution [--products=2000]
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -44,29 +45,32 @@ int main(int argc, char** argv) {
               FormatMicros(watch.ElapsedMicros()).c_str());
 
   // Ship as a snapshot.
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string flat_path = (dir / "jdvs_example_flat.snap").string();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "jdvs_example_index.snap")
+          .string();
   watch.Restart();
-  SaveIndexSnapshot(*built, flat_path);
-  const auto flat_bytes = std::filesystem::file_size(flat_path);
+  SaveIndexSnapshot(*built, path);
+  const auto bytes = std::filesystem::file_size(path);
   std::printf("snapshot save: %s, %.1f MB (%.0f bytes/image)\n",
               FormatMicros(watch.ElapsedMicros()).c_str(),
-              static_cast<double>(flat_bytes) / 1e6,
-              static_cast<double>(flat_bytes) / built->size());
+              static_cast<double>(bytes) / 1e6,
+              static_cast<double>(bytes) / built->size());
 
   // A fresh searcher installs it.
   Searcher searcher("searcher-new", Searcher::Config{}, features,
                     AcceptAllPartitionFilter());
   watch.Restart();
-  searcher.InstallFromSnapshot(flat_path);
+  searcher.InstallFromSnapshot(path);
+  std::filesystem::remove(path);
   std::printf("searcher install: %s, now serving %zu images\n",
               FormatMicros(watch.ElapsedMicros()).c_str(),
               searcher.index_stats().total_images);
 
-  // Verify: identical answers and content digest.
+  // Verify: identical answers, image for image and distance for distance.
+  constexpr int kProbes = 25;
   const auto digest_built = ComputeIndexDigest(*built);
   int agreements = 0;
-  for (ProductId pid = 1; pid <= 25; ++pid) {
+  for (ProductId pid = 1; pid <= kProbes; ++pid) {
     const auto record = catalog.Get(pid);
     const auto query = embedder.ExtractQuery(pid, record->category, pid);
     const auto a = built->Search(query, 5);
@@ -74,50 +78,23 @@ int main(int argc, char** argv) {
     if (a.size() == b.size() &&
         std::equal(a.begin(), a.end(), b.begin(),
                    [](const SearchHit& x, const SearchHit& y) {
-                     return x.image_id == y.image_id;
+                     return x.image_id == y.image_id &&
+                            x.distance == y.distance;
                    })) {
       ++agreements;
     }
   }
-  std::printf("result agreement on 25 probe queries: %d/25 (content digest "
+  std::printf("result agreement on %d probe queries: %d/%d (content digest "
               "%016llx, %llu entries)\n",
-              agreements, (unsigned long long)digest_built.content_hash,
+              kProbes, agreements, kProbes,
+              (unsigned long long)digest_built.content_hash,
               (unsigned long long)digest_built.entries);
-
-  // The compressed form: build an IVF-PQ index, snapshot, reload.
-  ProductQuantizerConfig pc;
-  pc.num_subspaces = 8;
-  pc.codebook_size = 128;
-  std::vector<FeatureVector> training;
-  catalog.ForEach([&](const ProductRecord& r) {
-    if (training.size() >= 2048) return;
-    training.push_back(
-        embedder.Extract({r.image_urls[0], r.id, r.category}));
-  });
-  auto pq = std::make_shared<ProductQuantizer>(
-      ProductQuantizer::Train(training, pc));
-  IvfIndexConfig pq_config;
-  pq_config.nprobe = 8;
-  IvfIndex compressed(quantizer, pq, pq_config);
-  catalog.ForEach([&](const ProductRecord& r) {
-    for (const auto& url : r.image_urls) {
-      compressed.AddImage(url, r.id, r.category, r.attributes, r.detail_url,
-                          embedder.Extract({url, r.id, r.category}));
-    }
-  });
-  const std::string pq_path = (dir / "jdvs_example_pq.snap").string();
-  SaveIndexSnapshot(compressed, pq_path);
-  const auto pq_bytes = std::filesystem::file_size(pq_path);
-  auto reloaded = LoadIndexSnapshot(pq_path);
-  std::printf("\nIVF-PQ snapshot: %.1f MB vs %.1f MB flat (%.1fx smaller), "
-              "reloaded %zu images\n",
-              static_cast<double>(pq_bytes) / 1e6,
-              static_cast<double>(flat_bytes) / 1e6,
-              static_cast<double>(flat_bytes) /
-                  static_cast<double>(pq_bytes),
-              reloaded->size());
-
-  std::filesystem::remove(flat_path);
-  std::filesystem::remove(pq_path);
+  if (agreements != kProbes) {
+    std::fprintf(stderr,
+                 "FAIL: the installed snapshot answered %d of %d probe "
+                 "queries differently from the index that wrote it\n",
+                 kProbes - agreements, kProbes);
+    return 1;
+  }
   return 0;
 }

@@ -3,23 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include "common/clock.h"
 #include "common/hash.h"
-#include "vecmath/distance.h"
 #include "vecmath/kernels.h"
 
 namespace jdvs {
 
 namespace {
-// Entries per contiguous scan run. Bounds the stack survivor buffers of the
-// scans: 256 rows of a 960-d (padded) feature are ~1 MB, well past the L2
-// prefetch horizon, so longer flat runs buy nothing; PQ code runs are sized
-// to the 4 KB distance buffer of one pq_adc_scan call.
+// Entries per contiguous scan run. Bounds the stack distance buffer of the
+// exhaustive scan: 256 rows of a 960-d (padded) feature are ~1 MB, well past
+// the L2 prefetch horizon, so longer runs buy nothing.
 constexpr std::size_t kScanRunEntries = 256;
-constexpr std::size_t kCodeRunEntries = 1024;
 
 // Squared L2 norm with a float64 accumulator: appended once per row and
 // reused by every query, so spend the extra precision here rather than in
@@ -35,26 +31,14 @@ float SquaredNorm(const float* v, std::size_t n) noexcept {
 
 IvfIndex::IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
                    const IvfIndexConfig& config)
-    : IvfIndex(std::move(quantizer), nullptr, config) {}
-
-IvfIndex::IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
-                   std::shared_ptr<const ProductQuantizer> pq,
-                   const IvfIndexConfig& config)
     : quantizer_(std::move(quantizer)),
-      pq_(std::move(pq)),
       config_(config),
-      padded_dim_(PaddedDim(quantizer_->dim())) {
-  assert(pq_ == nullptr || pq_->dim() == quantizer_->dim());
-  if (pq_ == nullptr) {
-    pad_scratch_ = AllocateAligned<float>(padded_dim_);
-  } else if (config_.rerank_candidates > 0) {
-    raw_ = std::make_unique<VectorSet>(quantizer_->dim());
-  }
-  const std::size_t run_entries =
-      pq_ == nullptr ? kScanRunEntries : kCodeRunEntries;
+      padded_dim_(PaddedDim(quantizer_->dim())),
+      pad_scratch_(AllocateAligned<float>(padded_dim_)) {
   blocks_.reserve(quantizer_->num_clusters());
   for (std::size_t c = 0; c < quantizer_->num_clusters(); ++c) {
-    blocks_.push_back(std::make_unique<ScanBlock>(row_bytes(), run_entries));
+    blocks_.push_back(
+        std::make_unique<ScanBlock>(row_bytes(), kScanRunEntries));
   }
 }
 
@@ -89,16 +73,11 @@ LocalId IvfIndex::AddImage(std::string_view image_url, ProductId product_id,
   //    updated in the auxiliary array" — here, the list's scan block
   //    publishes id and row together.
   const std::uint32_t list = quantizer_->NearestCentroid(feature);
-  if (pq_ == nullptr) {
-    // Padded row (padding lanes stay zero: the scratch row was
-    // zero-allocated and only dim() floats are rewritten) plus its norm.
-    std::memcpy(pad_scratch_.get(), feature.data(), dim() * sizeof(float));
-    blocks_[list]->Append(local, pad_scratch_.get(),
-                          SquaredNorm(pad_scratch_.get(), dim()));
-  } else {
-    blocks_[list]->Append(local, pq_->Encode(feature).data());
-    if (raw_) raw_->Append(feature);
-  }
+  // Padded row (padding lanes stay zero: the scratch row was zero-allocated
+  // and only dim() floats are rewritten) plus its norm.
+  std::memcpy(pad_scratch_.get(), feature.data(), dim() * sizeof(float));
+  blocks_[list]->Append(local, pad_scratch_.get(),
+                        SquaredNorm(pad_scratch_.get(), dim()));
   // 3. Valid and searchable from this moment (data freshness).
   valid_.Set(local, true);
   return local;
@@ -147,12 +126,9 @@ bool IvfIndex::IsImageValid(std::string_view image_url) const {
 LocalId IvfIndex::AddImageMetadata(std::string_view image_url,
                                    ProductId product_id, CategoryId category,
                                    const ProductAttributes& attributes,
-                                   std::string_view detail_url,
-                                   FeatureView raw) {
-  assert(raw.size() == (raw_ ? dim() : 0));
+                                   std::string_view detail_url) {
   const LocalId local = AppendMetadata(image_url, product_id, category,
                                        attributes, detail_url);
-  if (raw_) raw_->Append(raw);
   valid_.Set(local, true);
   return local;
 }
@@ -188,26 +164,15 @@ void IvfIndex::ForEachScanRun(
   blocks_[list]->ForEachRun(fn);
 }
 
-std::size_t IvfIndex::QueryScanFloats() const noexcept {
-  return pq_ == nullptr ? padded_dim_
-                        : pq_->num_subspaces() * pq_->codebook_size();
-}
-
 float* IvfIndex::QueryScratch(float* stack_buf,
                               AlignedArray<float>& heap_buf) const {
-  if (QueryScanFloats() <= kMaxStackQueryFloats) return stack_buf;
-  heap_buf = AllocateAligned<float>(QueryScanFloats());
+  if (padded_dim_ <= kMaxStackQueryFloats) return stack_buf;
+  heap_buf = AllocateAligned<float>(padded_dim_);
   return heap_buf.get();
 }
 
 float IvfIndex::PrepareQuery(FeatureView query, float* out) const {
   assert(query.size() == dim());
-  if (pq_ != nullptr) {
-    // Per-query ADC table, built exactly once: num_subspaces x
-    // codebook_size partial squared distances.
-    pq_->BuildDistanceTable(query, out);
-    return 0.0f;
-  }
   std::memcpy(out, query.data(), dim() * sizeof(float));
   std::memset(out + dim(), 0, (padded_dim_ - dim()) * sizeof(float));
   return SquaredNorm(out, dim());
@@ -229,16 +194,22 @@ bool IvfIndex::Admits(const Admission& admission, LocalId local,
   return admission.direct->Matches(snapshot.category, snapshot.attributes);
 }
 
-template <typename SubBlockKernel>
-void IvfIndex::ScanRun(const LocalId* ids, std::size_t count,
-                       const Admission& admission, FilterScanStats* stats,
-                       TopK& topk, SubBlockKernel&& kernel) const {
+void IvfIndex::ScanList(std::size_t list, const float* query_scan,
+                        float query_norm, const Admission& admission,
+                        FilterScanStats* stats, TopK& topk) const {
+  // Fused distance + admission: the kernel computes every distance in the
+  // dot form against the block's precomputed row norms and compacts the
+  // candidates at or under the threshold in one sweep — no per-run distance
+  // buffer, no second pass. Distances for invalid / filtered-out entries are
+  // computed and then discarded — on this layout a branchless linear sweep
+  // beats a per-candidate skip, and removed products are rare.
+  //
   // Sub-blocks of kFilterBlock entries refresh the threshold between kernel
   // calls: on the first probed list the top-k starts empty (threshold +inf,
   // everything "survives"), and the refresh caps that flood at one
   // sub-block instead of the whole run. The threshold only tightens while
   // offering, so a sub-block's survivors are a superset; each is re-checked
-  // against the freshest threshold before its Offer (the kernels admit at
+  // against the freshest threshold before its Offer (the kernel admits at
   // or under the threshold — <=, because a distance tie can still displace
   // a larger id inside the heap).
   //
@@ -247,110 +218,42 @@ void IvfIndex::ScanRun(const LocalId* ids, std::size_t count,
   // order, so each bit is a bitmap probe) and a wholly-dead sub-block skips
   // the kernel — its 64 rows are never touched.
   constexpr std::size_t kFilterBlock = 64;
-  const bool pre = admission.bits != nullptr && !admission.post;
-  std::uint32_t keep[kFilterBlock];
-  float keep_dist[kFilterBlock];
-  for (std::size_t b = 0; b < count; b += kFilterBlock) {
-    const std::size_t block = std::min(kFilterBlock, count - b);
-    std::uint64_t alive = 0;
-    if (pre) {
-      for (std::size_t s = 0; s < block; ++s) {
-        alive |= std::uint64_t{admission.bits->Test(ids[b + s])} << s;
-      }
-      if (alive == 0) {
-        if (stats != nullptr) ++stats->blocks_skipped;
-        continue;
-      }
-    }
-    if (stats != nullptr) ++stats->blocks_scanned;
-    float threshold = topk.Threshold();
-    const std::size_t kept = kernel(b, block, threshold, keep, keep_dist);
-    for (std::size_t s = 0; s < kept; ++s) {
-      const float dist = keep_dist[s];
-      if (dist > threshold) continue;
-      const LocalId local = ids[b + keep[s]];
-      if (!Admits(admission, local, ((alive >> keep[s]) & 1) != 0)) continue;
-      topk.Offer(local, dist);
-      threshold = topk.Threshold();
-    }
-  }
-}
-
-void IvfIndex::ScanList(std::size_t list, const float* query_scan,
-                        float query_norm, const Admission& admission,
-                        FilterScanStats* stats, TopK& topk) const {
   const DistanceKernels& kernels = Kernels();
-  if (pq_ == nullptr) {
-    // Fused distance + admission: the kernel computes every distance in the
-    // dot form against the block's precomputed row norms and compacts the
-    // candidates at or under the threshold in one sweep — no per-run
-    // distance buffer, no second pass. Distances for invalid / filtered-out
-    // entries are computed and then discarded — on this layout a branchless
-    // linear sweep beats a per-candidate skip, and removed products are
-    // rare.
-    const std::size_t stride = padded_dim_;
-    blocks_[list]->ForEachRun([&](const LocalId* ids,
-                                  const std::uint8_t* payload,
-                                  const float* norms, std::size_t count) {
-      const float* rows = reinterpret_cast<const float*>(payload);
-      ScanRun(ids, count, admission, stats, topk,
-              [&](std::size_t b, std::size_t n, float threshold,
-                  std::uint32_t* keep, float* keep_dist) {
-                return kernels.l2sq_scan_filter(
-                    query_scan, query_norm, rows + b * stride, norms + b,
-                    stride, stride, n, threshold, keep, keep_dist);
-              });
-    });
-    return;
-  }
-  // True ADC: packed codes through the pq_adc_scan kernel — per candidate
-  // that is m table lookups, gathered 8/16-wide on the SIMD tiers, summed in
-  // DistanceWithTable's order, so distances are bit-identical to the
-  // per-candidate path. Unfiltered and post-filter scans run the whole run
-  // through one kernel call; pushdown (pre) mode runs it per sub-block
-  // instead, so a sub-block the bitmap proves dead never gathers its tables
-  // at all. filter_le then admits at or under the threshold.
-  const std::size_t m = pq_->num_subspaces();
-  const std::size_t ks = pq_->codebook_size();
+  const std::size_t stride = padded_dim_;
   const bool pre = admission.bits != nullptr && !admission.post;
   blocks_[list]->ForEachRun([&](const LocalId* ids,
-                                const std::uint8_t* codes,
-                                const float* /*norms*/, std::size_t count) {
-    float dists[kCodeRunEntries];
-    if (!pre) kernels.pq_adc_scan(query_scan, ks, codes, m, count, dists);
-    ScanRun(ids, count, admission, stats, topk,
-            [&](std::size_t b, std::size_t n, float threshold,
-                std::uint32_t* keep, float* keep_dist) {
-              if (pre) {
-                kernels.pq_adc_scan(query_scan, ks, codes + b * m, m, n,
-                                    dists + b);
-              }
-              const std::size_t kept =
-                  kernels.filter_le(dists + b, n, threshold, keep);
-              for (std::size_t s = 0; s < kept; ++s) {
-                keep_dist[s] = dists[b + keep[s]];
-              }
-              return kept;
-            });
+                                const std::uint8_t* payload,
+                                const float* norms, std::size_t count) {
+    const float* rows = reinterpret_cast<const float*>(payload);
+    std::uint32_t keep[kFilterBlock];
+    float keep_dist[kFilterBlock];
+    for (std::size_t b = 0; b < count; b += kFilterBlock) {
+      const std::size_t block = std::min(kFilterBlock, count - b);
+      std::uint64_t alive = 0;
+      if (pre) {
+        for (std::size_t s = 0; s < block; ++s) {
+          alive |= std::uint64_t{admission.bits->Test(ids[b + s])} << s;
+        }
+        if (alive == 0) {
+          if (stats != nullptr) ++stats->blocks_skipped;
+          continue;
+        }
+      }
+      if (stats != nullptr) ++stats->blocks_scanned;
+      float threshold = topk.Threshold();
+      const std::size_t kept = kernels.l2sq_scan_filter(
+          query_scan, query_norm, rows + b * stride, norms + b, stride,
+          stride, block, threshold, keep, keep_dist);
+      for (std::size_t s = 0; s < kept; ++s) {
+        const float dist = keep_dist[s];
+        if (dist > threshold) continue;
+        const LocalId local = ids[b + keep[s]];
+        if (!Admits(admission, local, ((alive >> keep[s]) & 1) != 0)) continue;
+        topk.Offer(local, dist);
+        threshold = topk.Threshold();
+      }
+    }
   });
-}
-
-std::size_t IvfIndex::ScanDepth(std::size_t k) const noexcept {
-  return raw_ != nullptr ? std::max(config_.rerank_candidates, k) : k;
-}
-
-std::vector<ScoredImage> IvfIndex::Finish(FeatureView query, std::size_t k,
-                                          TopK& topk) const {
-  std::vector<ScoredImage> ranked = topk.TakeSorted();
-  if (raw_ == nullptr) return ranked;
-  // Exact re-ranking of the ADC shortlist against the raw features
-  // (IVFADC+R).
-  TopK exact(k);
-  for (const ScoredImage& candidate : ranked) {
-    const auto local = static_cast<LocalId>(candidate.image_id);
-    exact.Offer(candidate.image_id, L2SquaredDistance(query, raw_->At(local)));
-  }
-  return exact.TakeSorted();
 }
 
 double IvfIndex::EstimateFilterSelectivity(
@@ -467,11 +370,11 @@ std::vector<ScoredImage> IvfIndex::ScanProbes(
   float* query_scan = QueryScratch(stack_query, heap_query);
   const float query_norm = PrepareQuery(query, query_scan);
   const Admission admission{filter, post_filter, direct_filter};
-  TopK topk(ScanDepth(k));
+  TopK topk(k);
   for (const std::uint32_t list : probes) {
     ScanList(list, query_scan, query_norm, admission, stats, topk);
   }
-  return Finish(query, k, topk);
+  return topk.TakeSorted();
 }
 
 std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
@@ -523,9 +426,6 @@ std::vector<SearchHit> IvfIndex::SearchExhaustive(
 
 std::vector<SearchHit> IvfIndex::ExhaustiveScan(
     FeatureView query, std::size_t k, const FilterExpression* filter) const {
-  if (pq_ != nullptr) {
-    throw std::logic_error("SearchExhaustive needs a flat-coded index");
-  }
   alignas(kCacheLineBytes) float stack_query[kMaxStackQueryFloats];
   AlignedArray<float> heap_query;
   float* padded = QueryScratch(stack_query, heap_query);
@@ -563,13 +463,12 @@ std::vector<SearchHit> IvfIndex::ExhaustiveScan(
 }
 
 void IvfIndex::ForEachEntry(
-    const std::function<void(LocalId, const AttributeSnapshot&, FeatureView,
-                             bool)>& visit) const {
+    const std::function<void(LocalId, const AttributeSnapshot&, bool)>& visit)
+    const {
   const std::size_t n = forward_.size();
   for (std::size_t local = 0; local < n; ++local) {
     const auto id = static_cast<LocalId>(local);
-    visit(id, forward_.Get(id),
-          raw_ != nullptr ? raw_->At(local) : FeatureView(), valid_.Get(local));
+    visit(id, forward_.Get(id), valid_.Get(local));
   }
 }
 
@@ -592,7 +491,6 @@ IvfIndexStats IvfIndex::Stats() const {
   }
   stats.buffer_bytes = forward_.buffer_bytes_used();
   stats.code_bytes_per_vector = row_bytes();
-  stats.raw_memory_bytes = raw_ ? raw_->size() * dim() * sizeof(float) : 0;
   return stats;
 }
 

@@ -10,22 +10,10 @@
 // holding its members' ids and payload rows contiguously in append order,
 // 64-byte aligned, so the hot loop is a linear, prefetch-friendly sweep
 // through the runtime-dispatched batch kernels (vecmath/kernels.h) instead
-// of a per-candidate pointer chase. The payload is the index's list codec,
-// fixed at construction by whether a trained ProductQuantizer is given:
-//
-//  * flat (no quantizer): rows of padded_dim() floats with zeroed padding,
-//    plus each row's squared norm, scanned by the fused l2sq_scan_filter
-//    kernel — the paper's exact-distance index;
-//  * PQ: code_bytes() PQ codes per row (a 64-d float feature, 256 B,
-//    compresses to 8-16 B — what makes the paper's "100 billion images"
-//    scale feasible), scanned by pq_adc_scan against a per-query
-//    asymmetric-distance (ADC) table. With `rerank_candidates > 0` the index
-//    also keeps every raw feature and re-scores that many ADC candidates
-//    exactly — the IVFADC+R recipe.
-//
-// The codec branches only where the payload is touched: append, per-query
-// setup, the per-list scan and the rerank finish. Metadata writes, filter
-// planning, tier pinning and materialization are shared.
+// of a per-candidate pointer chase. Each row is the image's feature padded
+// to padded_dim() floats with zeroed padding, stored with its squared norm
+// and scanned by the fused l2sq_scan_filter kernel — the paper's
+// exact-distance index.
 //
 // Concurrency contract (matching the paper's architecture): exactly one
 // writer — the searcher applies every index mutation, both real-time updates
@@ -52,12 +40,10 @@
 #include "index/image_index.h"
 #include "index/scan_block.h"
 #include "mq/message.h"
-#include "pq/codebook.h"
 #include "tier/tiered_store.h"
 #include "vecmath/aligned.h"
 #include "vecmath/topk.h"
 #include "vecmath/vector.h"
-#include "vecmath/vector_set.h"
 
 namespace jdvs {
 
@@ -79,10 +65,6 @@ struct IvfIndexConfig {
   // be found under an extreme filter.
   double filter_widen_threshold = 0.01;
   std::size_t filter_widen_factor = 4;
-  // PQ codec only (the flat codec ignores it): 0 ranks purely by ADC
-  // distance; otherwise this many ADC candidates are re-ranked with exact
-  // distances, and the index keeps every raw feature for that purpose.
-  std::size_t rerank_candidates = 0;
 };
 
 struct IvfIndexStats {
@@ -93,12 +75,11 @@ struct IvfIndexStats {
   // Scan-storage chunk growths past each list's first chunk, summed.
   std::uint64_t list_expansions = 0;
   std::size_t buffer_bytes = 0;
-  // List codec footprint: payload bytes per entry (padded float row or PQ
-  // code), heap bytes allocated by the lists' scan storage (ids, payload
-  // and norms; mapped tiered payload excluded), and the PQ rerank store.
+  // List storage footprint: payload bytes per entry (the padded float row)
+  // and heap bytes allocated by the lists' scan storage (ids, payload and
+  // norms; mapped tiered payload excluded).
   std::size_t code_bytes_per_vector = 0;
   std::size_t code_memory_bytes = 0;
-  std::size_t raw_memory_bytes = 0;
 };
 
 // Every per-query knob of IvfIndex::Search. The defaults give the plain
@@ -120,13 +101,8 @@ struct IvfSearchOptions {
 
 class IvfIndex {
  public:
-  // Flat codec.
   explicit IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
                     const IvfIndexConfig& config = {});
-  // PQ codec: `pq` must be trained on the quantizer's dimension.
-  IvfIndex(std::shared_ptr<const CoarseQuantizer> quantizer,
-           std::shared_ptr<const ProductQuantizer> pq,
-           const IvfIndexConfig& config = {});
 
   IvfIndex(const IvfIndex&) = delete;
   IvfIndex& operator=(const IvfIndex&) = delete;
@@ -134,7 +110,7 @@ class IvfIndex {
   // ---- Writer operations (single writer) ----
 
   // Inserts a brand-new image (Figure 8): forward-index entry + attributes,
-  // URL into the buffer, feature stored (or encoded), image id appended to
+  // URL into the buffer, feature row and image id appended to
   // the inverted list chosen by the quantizer, validity bit set. Returns the
   // local id.
   LocalId AddImage(std::string_view image_url, ProductId product_id,
@@ -173,10 +149,8 @@ class IvfIndex {
   // numeric ranges) that post-filters survivors or lets the scan skip
   // wholly-dead 64-entry sub-blocks, widening nprobe when almost nothing
   // matches. A category scope — the production use of the detector output
-  // (Section 2.4) — is one such predicate. The PQ rerank operates on
-  // already-filtered candidates, so predicates survive the IVFADC+R finish.
-  // In tiered mode the probed lists are pinned in the residency cache before
-  // the scan.
+  // (Section 2.4) — is one such predicate. In tiered mode the probed lists
+  // are pinned in the residency cache before the scan.
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
                                 const IvfSearchOptions& options = {}) const;
   // Positional form kept for the repository benchmark: scopes the query to
@@ -185,10 +159,10 @@ class IvfIndex {
                                 std::size_t nprobe, CategoryId category) const;
 
   // Scan stage alone: top-k (local id, distance) pairs over an
-  // already-chosen probe set, without forward-index materialization (PQ:
-  // after the rerank). The building block Search() composes (probe ->
-  // ScanProbes -> materialize); exposed for callers that schedule coarse
-  // probing themselves and for stage-level benchmarking.
+  // already-chosen probe set, without forward-index materialization. The
+  // building block Search() composes (probe -> ScanProbes -> materialize);
+  // exposed for callers that schedule coarse probing themselves and for
+  // stage-level benchmarking.
   std::vector<ScoredImage> ScanProbes(
       FeatureView query, std::size_t k,
       std::span<const std::uint32_t> probes,
@@ -197,42 +171,32 @@ class IvfIndex {
       const FilterExpression* direct_filter = nullptr) const;
 
   // Brute-force scan over all valid images (ground truth for recall tests).
-  // Flat codec only: throws std::logic_error on a PQ-coded index, whose
-  // rows hold no exact features to be ground truth over.
   std::vector<SearchHit> SearchExhaustive(FeatureView query,
                                           std::size_t k) const;
 
   // Brute-force filtered ground truth: every valid image matching the
   // predicates, exact distances (subtract form), top-k. The oracle the
-  // hybrid property tests compare pushdown against. Flat codec only.
+  // hybrid property tests compare pushdown against.
   std::vector<SearchHit> SearchExhaustive(FeatureView query, std::size_t k,
                                           const FilterExpression& filter) const;
 
-  // Visits every entry in local-id order with its attributes, the raw
-  // feature of the PQ rerank store (empty without one) and validity — the
-  // iteration snapshotting and replication tooling builds on. Safe
-  // concurrently with searches; must not race the writer (mid-append, the
-  // rerank store trails the forward index).
+  // Visits every entry in local-id order with its attributes and validity —
+  // the iteration snapshotting and replication tooling builds on. Safe
+  // concurrently with searches; must not race the writer.
   void ForEachEntry(
-      const std::function<void(LocalId, const AttributeSnapshot&,
-                               FeatureView raw, bool valid)>& visit) const;
+      const std::function<void(LocalId, const AttributeSnapshot&, bool valid)>&
+          visit) const;
 
   IvfIndexStats Stats() const;
   std::size_t size() const { return forward_.size(); }
   std::size_t dim() const { return quantizer_->dim(); }
-  // Flat codec's per-row scan stride in floats (dim rounded up to whole
-  // cache lines).
+  // Per-row scan stride in floats (dim rounded up to whole cache lines).
   std::size_t padded_dim() const noexcept { return padded_dim_; }
-  // Bytes per list row in scan storage: padded_dim() floats (flat) or the
-  // code_bytes() PQ code.
+  // Bytes per list row in scan storage: padded_dim() floats.
   std::size_t row_bytes() const noexcept {
-    return pq_ == nullptr ? padded_dim_ * sizeof(float) : pq_->code_bytes();
+    return padded_dim_ * sizeof(float);
   }
   const CoarseQuantizer& quantizer() const { return *quantizer_; }
-  // The PQ codec's quantizer; null for a flat-coded index.
-  const ProductQuantizer* pq() const noexcept { return pq_.get(); }
-  // True when the index keeps every raw feature (the PQ rerank store).
-  bool keeps_raw() const noexcept { return raw_ != nullptr; }
   const IvfIndexConfig& config() const { return config_; }
   // The attribute filter index this partition maintains alongside the
   // forward index (read-only: snapshot verification and tests).
@@ -246,14 +210,13 @@ class IvfIndex {
   // ---- Restore hooks: writer-only, load-time ----
 
   // Appends an entry's metadata only — forward index, attribute filters,
-  // validity, lookup maps, and `raw` into the PQ rerank store when the
-  // index keeps one (empty otherwise) — without touching the inverted
-  // lists; the row arrives later through RestoreList or AttachFrozenList.
-  // The snapshot loaders' twin of AddImage.
+  // validity and lookup maps — without touching the inverted lists; the row
+  // arrives later through RestoreList or AttachFrozenList. The snapshot
+  // loaders' twin of AddImage.
   LocalId AddImageMetadata(std::string_view image_url, ProductId product_id,
                            CategoryId category,
                            const ProductAttributes& attributes,
-                           std::string_view detail_url, FeatureView raw);
+                           std::string_view detail_url);
 
   // Appends `count` stored entries to list `list` in order: their ids,
   // norms and rows (row_bytes() each at `payload`, copied into heap scan
@@ -339,38 +302,20 @@ class IvfIndex {
                          const ProductAttributes& attributes,
                          std::string_view detail_url);
 
-  // ---- The codec-specific steps ----
-
-  // Floats of per-query scan input: padded_dim() (flat) or the ADC table's
-  // num_subspaces x codebook_size (PQ).
-  std::size_t QueryScanFloats() const noexcept;
-  // Per-query setup into `out` (QueryScanFloats() floats): the query padded
-  // with zeros and its squared L2 norm as the return value (flat — the
-  // fused kernel computes distances in the dot-product form against per-row
-  // norms), or the ADC table (PQ, returns 0).
+  // Per-query setup into `out` (padded_dim() floats): the query padded with
+  // zeros, and its squared L2 norm as the return value — the fused kernel
+  // computes distances in the dot-product form against per-row norms.
   float PrepareQuery(FeatureView query, float* out) const;
-  // QueryScanFloats() of scratch: `stack_buf` (kMaxStackQueryFloats
+  // padded_dim() floats of scratch: `stack_buf` (kMaxStackQueryFloats
   // capacity) when it fits, else a fresh aligned heap block kept alive by
   // `heap_buf`.
   float* QueryScratch(float* stack_buf, AlignedArray<float>& heap_buf) const;
-  // Scans one list against a prepared query, offering admitted survivors.
+  // Scans one list against a prepared query sub-block by sub-block: mask
+  // gathering, the fused kernel, then admission of its survivors into
+  // `topk`.
   void ScanList(std::size_t list, const float* query_scan, float query_norm,
                 const Admission& admission, FilterScanStats* stats,
                 TopK& topk) const;
-  // Survivor heap depth for a top-k query: k, or the PQ rerank shortlist.
-  std::size_t ScanDepth(std::size_t k) const noexcept;
-  // Ranks a query's scan survivors: the PQ rerank against exact distances,
-  // or the sorted top-k as is.
-  std::vector<ScoredImage> Finish(FeatureView query, std::size_t k,
-                                  TopK& topk) const;
-
-  // The sub-block loop both codecs' scans share: mask gathering, the
-  // codec's kernel (`kernel(begin, count, threshold, keep, keep_dist)`
-  // returns the survivors at or under the threshold), survivor admission.
-  template <typename SubBlockKernel>
-  void ScanRun(const LocalId* ids, std::size_t count,
-               const Admission& admission, FilterScanStats* stats,
-               TopK& topk, SubBlockKernel&& kernel) const;
   bool Admits(const Admission& admission, LocalId local,
               bool in_alive_mask) const;
 
@@ -386,7 +331,6 @@ class IvfIndex {
   static constexpr std::size_t kMaxStackQueryFloats = 1024;
 
   std::shared_ptr<const CoarseQuantizer> quantizer_;
-  std::shared_ptr<const ProductQuantizer> pq_;  // null = flat codec
   IvfIndexConfig config_;
   const std::size_t padded_dim_;
   ForwardIndex forward_;
@@ -396,10 +340,7 @@ class IvfIndex {
   AttributeFilterIndex filters_;
   // The inverted lists: per-list contiguous rows in list order.
   std::vector<std::unique_ptr<ScanBlock>> blocks_;
-  // PQ rerank store (raw features by local id); null unless the PQ codec
-  // re-ranks.
-  std::unique_ptr<VectorSet> raw_;
-  // Writer-owned scratch row for padding incoming features (flat codec).
+  // Writer-owned scratch row for padding incoming features.
   AlignedArray<float> pad_scratch_;
   // Writer-owned lookup state (never touched by Search).
   std::unordered_map<std::string, LocalId> url_to_local_;

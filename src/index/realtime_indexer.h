@@ -68,7 +68,6 @@ struct RealTimeIndexerCounters {
 
 class RealTimeIndexer {
  public:
-  // `index` may use either list codec (flat or PQ).
   // `registry` (null = process-global default) receives the cumulative
   // update counter `jdvs_realtime_updates_total{searcher=<owner>}` and the
   // apply-latency stage histogram; because instruments are looked up by

@@ -4,9 +4,9 @@
 // per-partition feature store — one dependent pointer hop and a random-ish
 // cache line per candidate. ScanBlock is the scan-order layout that replaces
 // that indirection: each inverted list owns one ScanBlock holding its
-// members' payloads (padded float vectors or packed PQ codes, per the
-// IvfIndex list codec) contiguously in append order, SoA against a parallel
-// LocalId array, with every chunk base 64-byte aligned. A scan walks whole runs
+// members' payloads (IvfIndex stores zero-padded float rows) contiguously in
+// append order, SoA against a parallel LocalId array, with every chunk base
+// 64-byte aligned. A scan walks whole runs
 // linearly — exactly what the batch kernels in vecmath/kernels.h and the
 // hardware prefetcher want.
 //
@@ -49,8 +49,7 @@ class ScanBlock {
   // `payload` and records `id` at the same position. `aux` is a per-entry
   // float rider published together with the entry — IvfIndex stores the
   // row's squared L2 norm there so the scan kernel can use the
-  // dot-product form of the distance (see DistanceKernels::l2sq_scan_filter);
-  // payloads without a norm (PQ codes) leave it zero.
+  // dot-product form of the distance (see DistanceKernels::l2sq_scan_filter).
   void Append(LocalId id, const void* payload, float aux = 0.0f);
 
   // Installs a frozen prefix (single writer, block must be empty): chunk 0
@@ -72,8 +71,8 @@ class ScanBlock {
   // max_run_entries: fn(ids, payload, aux, count) where `ids` is count
   // LocalIds, `payload` is count * stride bytes and `aux` is count per-entry
   // rider floats. Run bases are 64-byte aligned when max_run_entries *
-  // stride is a cache-line multiple (true for the index layouts: padded
-  // float rows, and code runs sized to whole lines).
+  // stride is a cache-line multiple (true for the index's padded float
+  // rows).
   // Lock-free; safe concurrently with Append.
   template <typename Fn>
   void ForEachRun(Fn&& fn) const {

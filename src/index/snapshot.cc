@@ -25,7 +25,7 @@ namespace jdvs {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4A44565349445831ULL;  // "JDVSIDX1"
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
 constexpr std::uint64_t kSegmentAlign = kCacheLineBytes;
 // magic + version + update_hwm + payload_base
 constexpr std::uint64_t kPrefixBytes = 8 + 4 + 8 + 8;
@@ -107,13 +107,8 @@ struct ParsedHead {
   IvfIndexConfig config;
   std::size_t dim = 0;
   std::vector<float> centroids;
-  std::size_t num_subspaces = 0;  // 0 = flat codec
-  std::size_t codebook_size = 0;
-  std::vector<float> codebooks;
   std::size_t row_bytes = 0;
   std::vector<EntryMeta> entries;
-  bool has_raw = false;
-  std::vector<float> raw;  // entries.size() x dim when has_raw
   std::vector<ListDirEntry> directory;
   std::vector<std::vector<LocalId>> list_ids;
   std::vector<std::vector<float>> list_norms;
@@ -157,7 +152,6 @@ ParsedHead ParseHead(std::istream& is, const std::string& path) {
   config.filter_post_threshold = ReadPod<double>(is);
   config.filter_widen_threshold = ReadPod<double>(is);
   config.filter_widen_factor = ReadSize(is);
-  config.rerank_candidates = ReadSize(is);
 
   head.dim = ReadSize(is);
   const std::size_t num_clusters = ReadSize(is);
@@ -168,17 +162,6 @@ ParsedHead ParseHead(std::istream& is, const std::string& path) {
   head.centroids.resize(num_clusters * head.dim);
   ReadRaw(is, head.centroids.data(), head.centroids.size() * sizeof(float));
 
-  head.num_subspaces = ReadSize(is);
-  head.codebook_size = ReadSize(is);
-  if (head.num_subspaces != 0) {
-    if (head.num_subspaces > head.dim || head.dim % head.num_subspaces != 0 ||
-        head.codebook_size == 0 || head.codebook_size > 256) {
-      throw SnapshotError("implausible pq codebook shape");
-    }
-    head.codebooks.resize(head.num_subspaces * head.codebook_size *
-                          (head.dim / head.num_subspaces));
-    ReadRaw(is, head.codebooks.data(), head.codebooks.size() * sizeof(float));
-  }
   head.row_bytes = ReadSize(is);
   if (head.row_bytes == 0 || head.row_bytes > (1u << 22)) {
     throw SnapshotError("implausible snapshot row stride");
@@ -198,11 +181,6 @@ ParsedHead ParseHead(std::istream& is, const std::string& path) {
     entry.detail_url = ReadString(is);
     entry.valid = ReadPod<std::uint8_t>(is) != 0;
     head.entries.push_back(std::move(entry));
-  }
-  head.has_raw = ReadPod<std::uint8_t>(is) != 0;
-  if (head.has_raw) {
-    head.raw.resize(head.entries.size() * head.dim);
-    ReadRaw(is, head.raw.data(), head.raw.size() * sizeof(float));
   }
 
   const std::size_t num_lists = ReadSize(is);
@@ -289,37 +267,21 @@ ParsedHead ParseHeadOf(const std::string& path) {
 }
 
 // The metadata restore both loaders share: the index shell — config,
-// quantizers, every entry's metadata, raw feature and validity — with empty
-// inverted lists for the loader to fill from the payload.
+// quantizer, every entry's metadata and validity — with empty inverted lists
+// for the loader to fill from the payload.
 std::unique_ptr<IvfIndex> RestoreMetadata(ParsedHead& head) {
   auto quantizer = std::make_shared<const CoarseQuantizer>(
       std::move(head.centroids), head.dim);
-  std::shared_ptr<const ProductQuantizer> pq;
-  if (head.num_subspaces != 0) {
-    pq = std::make_shared<const ProductQuantizer>(
-        head.dim, head.num_subspaces, head.codebook_size,
-        std::move(head.codebooks));
-  }
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), std::move(pq),
-                                          head.config);
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config);
   if (index->row_bytes() != head.row_bytes) {
     throw SnapshotError(
         "snapshot row stride mismatch: snapshot rows are " +
         std::to_string(head.row_bytes) + " bytes, this build stores " +
         std::to_string(index->row_bytes()));
   }
-  if (index->keeps_raw() != head.has_raw) {
-    throw SnapshotError("snapshot raw-feature flag disagrees with its codec "
-                        "and rerank config");
-  }
-  for (std::size_t i = 0; i < head.entries.size(); ++i) {
-    const EntryMeta& entry = head.entries[i];
-    const FeatureView raw = head.has_raw
-                                ? FeatureView(head.raw.data() + i * head.dim,
-                                              head.dim)
-                                : FeatureView();
+  for (const EntryMeta& entry : head.entries) {
     index->AddImageMetadata(entry.image_url, entry.product_id, entry.category,
-                            entry.attributes, entry.detail_url, raw);
+                            entry.attributes, entry.detail_url);
   }
   for (const EntryMeta& entry : head.entries) {
     if (!entry.valid) index->SetImageValidity(entry.image_url, false);
@@ -428,7 +390,6 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
   WritePod<double>(head, config.filter_post_threshold);
   WritePod<double>(head, config.filter_widen_threshold);
   WritePod<std::uint64_t>(head, config.filter_widen_factor);
-  WritePod<std::uint64_t>(head, config.rerank_candidates);
 
   const CoarseQuantizer& quantizer = index.quantizer();
   WritePod<std::uint64_t>(head, quantizer.dim());
@@ -438,19 +399,12 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
     WriteRaw(head, centroid.data(), centroid.size() * sizeof(float));
   }
 
-  const ProductQuantizer* pq = index.pq();
-  WritePod<std::uint64_t>(head, pq != nullptr ? pq->num_subspaces() : 0);
-  WritePod<std::uint64_t>(head, pq != nullptr ? pq->codebook_size() : 0);
-  if (pq != nullptr) {
-    WriteRaw(head, pq->codebooks().data(),
-             pq->codebooks().size() * sizeof(float));
-  }
   WritePod<std::uint64_t>(head, row_bytes);
 
   WritePod<std::uint64_t>(head, index.size());
   std::map<CategoryId, std::uint64_t> category_populations;
   index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView, bool valid) {
+                         bool valid) {
     WriteString(head, snapshot.image_url);
     WritePod<std::uint64_t>(head, snapshot.product_id);
     WritePod<std::uint32_t>(head, snapshot.category);
@@ -463,13 +417,6 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
     // is a separate fold at materialization time).
     ++category_populations[snapshot.category];
   });
-  WritePod<std::uint8_t>(head, index.keeps_raw() ? 1 : 0);
-  if (index.keeps_raw()) {
-    index.ForEachEntry([&](LocalId, const AttributeSnapshot&, FeatureView raw,
-                           bool) {
-      WriteRaw(head, raw.data(), raw.size() * sizeof(float));
-    });
-  }
 
   WritePod<std::uint64_t>(head, static_cast<std::uint64_t>(num_lists));
   for (const ListDirEntry& dir : directory) {

@@ -3,34 +3,29 @@
 // The production pipeline builds the full index weekly (Section 2.2) and
 // ships it to searcher nodes; that requires a durable on-disk form. A
 // snapshot captures one partition's complete IvfIndex — configuration,
-// coarse quantizer, list codec, every entry's attributes and validity, and
-// every inverted list exactly as stored — and reloads into an index whose
-// search results are bit-for-bit identical. One writer takes either list
-// codec (flat rows or PQ codes); two loaders share one head parser and one
-// metadata restore and differ only in where the list payload lives:
-// LoadIndexSnapshot copies it to heap, LoadTieredSnapshot maps the file and
-// serves the payload in place through a TieredListStore (head in RAM,
-// postings on disk). Neither loader branches on the codec.
+// coarse quantizer, every entry's attributes and validity, and every
+// inverted list exactly as stored — and reloads into an index whose search
+// results are bit-for-bit identical. One writer; two loaders share one head
+// parser and one metadata restore and differ only in where the list payload
+// lives: LoadIndexSnapshot copies it to heap, LoadTieredSnapshot maps the
+// file and serves the payload in place through a TieredListStore (head in
+// RAM, postings on disk).
 //
 // The format is an internal interchange format between builder and
 // searchers of the same build, not a long-term stable archive: both loaders
 // accept exactly the version the writer emits and refuse any other.
 //
-// Layout (version 6, little-endian; strings are a u32 length plus bytes):
+// Layout (version 7, little-endian; strings are a u32 length plus bytes):
 //   u64 magic "JDVSIDX1" | u32 version | u64 update_hwm | u64 payload_base
 //   head (kept in RAM by both loaders):
 //     config: u64 nprobe | u8 filter_invalid_during_scan |
 //       f64 filter_post_threshold | f64 filter_widen_threshold |
-//       u64 filter_widen_factor | u64 rerank_candidates
+//       u64 filter_widen_factor
 //     quantizer: u64 dim | u64 num_clusters | centroid floats
-//     codec: u64 num_subspaces (0 = flat) | u64 codebook_size |
-//       codebook floats (PQ only)
-//     u64 row_bytes: the ScanBlock row stride (padded float row or PQ code)
+//     u64 row_bytes: the ScanBlock row stride (the padded float row)
 //     entries: u64 count, then per entry in LocalId order: image url |
 //       u64 product | u32 category | u64 sales | u64 price_cents |
 //       u64 praise | detail url | u8 valid
-//     u8 has_raw; when set, count raw features of dim floats follow in
-//       LocalId order (the PQ rerank store)
 //     directory: u64 num_lists, then per list u64 entry_count |
 //       u64 rel_offset (from payload_base, 64-byte aligned) | u64 bytes |
 //       u32 crc32c over the segment's exact payload bytes
@@ -72,11 +67,10 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Writes `index` (either list codec) to `path`, stamping `update_hwm` (the
-// highest applied update sequence; 0 = none) into the header. Throws
-// SnapshotError on I/O failure or when a live mapping holds the file's
-// shared flock. Must not race the index's writer (searchers snapshot
-// between update batches).
+// Writes `index` to `path`, stamping `update_hwm` (the highest applied
+// update sequence; 0 = none) into the header. Throws SnapshotError on I/O
+// failure or when a live mapping holds the file's shared flock. Must not
+// race the index's writer (searchers snapshot between update batches).
 void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
                        std::uint64_t update_hwm = 0);
 

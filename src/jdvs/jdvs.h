@@ -57,7 +57,6 @@
 #include "obs/slow_log.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "pq/codebook.h"
 #include "qos/admission.h"
 #include "qos/deadline.h"
 #include "qos/load_controller.h"

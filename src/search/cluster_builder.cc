@@ -528,7 +528,6 @@ IvfIndexStats VisualSearchCluster::AggregateIndexStats() const {
     total.list_expansions += s.list_expansions;
     total.buffer_bytes += s.buffer_bytes;
     total.code_memory_bytes += s.code_memory_bytes;
-    total.raw_memory_bytes += s.raw_memory_bytes;
   }
   return total;
 }

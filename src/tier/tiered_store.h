@@ -1,12 +1,12 @@
 // Hot-list residency cache over an mmap'd index snapshot (index/snapshot.h).
 //
 // The tiered index keeps the "head" in RAM — coarse quantizer, per-list
-// directory, LocalId/norm arrays, PQ codebooks, attribute filter index —
-// while the big per-list payload segments (feature rows / packed PQ codes)
-// stay in the snapshot file and are demand-paged through one read-only
-// mapping (SPANN/DiskANN-style head-in-RAM, postings-on-disk). The
-// TieredListStore is the residency policy on top of that mapping: an
-// explicit clock (second-chance) cache over whole posting lists, sized by
+// directory, LocalId/norm arrays, attribute filter index — while the big
+// per-list payload segments (the padded feature rows) stay in the snapshot
+// file and are demand-paged through one read-only mapping
+// (SPANN/DiskANN-style head-in-RAM, postings-on-disk). The TieredListStore
+// is the residency policy on top of that mapping: an explicit clock
+// (second-chance) cache over whole posting lists, sized by
 // `resident_bytes_budget`, with madvise hints on admit/evict and a pin
 // contract for scans.
 //

@@ -107,56 +107,9 @@ std::size_t L2SqScanFilterScalar(const float* q, float q_norm,
   return kept;
 }
 
-void PqAdcScanScalar(const float* table, std::size_t ks,
-                     const std::uint8_t* codes, std::size_t m,
-                     std::size_t count, float* out) noexcept {
-  std::size_t c = 0;
-  // Four candidates in flight: independent accumulators keep the table
-  // lookups pipelined instead of serialized on one FP add chain.
-  for (; c + 4 <= count; c += 4) {
-    const std::uint8_t* c0 = codes + c * m;
-    const std::uint8_t* c1 = c0 + m;
-    const std::uint8_t* c2 = c1 + m;
-    const std::uint8_t* c3 = c2 + m;
-    float s0 = 0.f, s1 = 0.f, s2 = 0.f, s3 = 0.f;
-    const float* row = table;
-    for (std::size_t s = 0; s < m; ++s, row += ks) {
-      s0 += row[c0[s]];
-      s1 += row[c1[s]];
-      s2 += row[c2[s]];
-      s3 += row[c3[s]];
-    }
-    out[c] = s0;
-    out[c + 1] = s1;
-    out[c + 2] = s2;
-    out[c + 3] = s3;
-  }
-  for (; c < count; ++c) {
-    const std::uint8_t* code = codes + c * m;
-    float s = 0.f;
-    const float* row = table;
-    for (std::size_t sub = 0; sub < m; ++sub, row += ks) s += row[code[sub]];
-    out[c] = s;
-  }
-}
-
-std::size_t FilterLeScalar(const float* dists, std::size_t count,
-                           float threshold, std::uint32_t* out_idx) noexcept {
-  // Branchless: unconditionally store the index, advance only on a pass.
-  // The admission test is almost always false on a warm heap, and a
-  // predictable-false branch would still cost more than this store.
-  std::size_t n = 0;
-  for (std::size_t j = 0; j < count; ++j) {
-    out_idx[n] = static_cast<std::uint32_t>(j);
-    n += dists[j] <= threshold ? 1 : 0;
-  }
-  return n;
-}
-
 constexpr DistanceKernels kScalarKernels = {
-    L2SqScalar,      IpScalar,        L2SqBatch4Scalar,
-    L2SqScanScalar,  L2SqScanFilterScalar,
-    PqAdcScanScalar, FilterLeScalar,  KernelTier::kScalar};
+    L2SqScalar,     IpScalar,             L2SqBatch4Scalar,
+    L2SqScanScalar, L2SqScanFilterScalar, KernelTier::kScalar};
 
 #if JDVS_KERNELS_X86
 
@@ -470,36 +423,9 @@ __attribute__((target("avx2,fma"))) std::size_t L2SqScanFilterAvx2(
   return kept;
 }
 
-__attribute__((target("avx2"))) std::size_t FilterLeAvx2(
-    const float* dists, std::size_t count, float threshold,
-    std::uint32_t* out_idx) noexcept {
-  const __m256 tv = _mm256_set1_ps(threshold);
-  std::size_t n = 0;
-  std::size_t j = 0;
-  for (; j + 8 <= count; j += 8) {
-    const int mask = _mm256_movemask_ps(
-        _mm256_cmp_ps(_mm256_loadu_ps(dists + j), tv, _CMP_LE_OQ));
-    if (mask == 0) continue;  // the common case: whole group inadmissible
-    for (int m = mask; m != 0; m &= m - 1) {
-      out_idx[n++] =
-          static_cast<std::uint32_t>(j) + __builtin_ctz(static_cast<unsigned>(m));
-    }
-  }
-  for (; j < count; ++j) {
-    if (dists[j] <= threshold) out_idx[n++] = static_cast<std::uint32_t>(j);
-  }
-  return n;
-}
-
-// The ADC scan stays on the scalar routine in every tier: a vpgatherdps
-// formulation (8 candidates wide, one gather per subspace) was measured at
-// 0.8x the 4-candidate scalar unroll on the 8 KB tables this index uses —
-// gather throughput loses to plain L1 loads with enough ILP, so dispatching
-// it would make IVF-PQ search slower, not faster.
 const DistanceKernels kAvx2Kernels = {
-    L2SqAvx2,        IpAvx2,        L2SqBatch4Avx2,
-    L2SqScanAvx2,    L2SqScanFilterAvx2,
-    PqAdcScanScalar, FilterLeAvx2,  KernelTier::kAvx2};
+    L2SqAvx2,     IpAvx2,             L2SqBatch4Avx2,
+    L2SqScanAvx2, L2SqScanFilterAvx2, KernelTier::kAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512F tier: 16-float lane groups; remainder lanes via load masks, so
@@ -821,29 +747,6 @@ __attribute__((target("avx512f,fma"))) std::size_t L2SqScanFilterAvx512(
   return kept;
 }
 
-__attribute__((target("avx512f"))) std::size_t FilterLeAvx512(
-    const float* dists, std::size_t count, float threshold,
-    std::uint32_t* out_idx) noexcept {
-  const __m512 tv = _mm512_set1_ps(threshold);
-  const __m512i iota =
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-  std::size_t n = 0;
-  std::size_t j = 0;
-  for (; j + 16 <= count; j += 16) {
-    const __mmask16 mask =
-        _mm512_cmp_ps_mask(_mm512_loadu_ps(dists + j), tv, _CMP_LE_OQ);
-    if (mask == 0) continue;
-    _mm512_mask_compressstoreu_epi32(
-        out_idx + n, mask,
-        _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(j))));
-    n += static_cast<std::size_t>(__builtin_popcount(mask));
-  }
-  for (; j < count; ++j) {
-    if (dists[j] <= threshold) out_idx[n++] = static_cast<std::uint32_t>(j);
-  }
-  return n;
-}
-
 __attribute__((target("avx512f"))) void L2SqScanAvx512(
     const float* q, const float* base, std::size_t stride, std::size_t n,
     std::size_t rows, float* out) noexcept {
@@ -854,12 +757,9 @@ __attribute__((target("avx512f"))) void L2SqScanAvx512(
   for (; r < rows; ++r) out[r] = L2SqAvx512(q, base + r * stride, n);
 }
 
-// Scalar ADC here too — the 16-wide _mm512_i32gather_ps variant measured
-// ~0.2x the scalar unroll on this generation (see the AVX2 note above).
 const DistanceKernels kAvx512Kernels = {
-    L2SqAvx512,      IpAvx512,         L2SqBatch4Avx512,
-    L2SqScanAvx512,  L2SqScanFilterAvx512,
-    PqAdcScanScalar, FilterLeAvx512,   KernelTier::kAvx512};
+    L2SqAvx512,     IpAvx512,             L2SqBatch4Avx512,
+    L2SqScanAvx512, L2SqScanFilterAvx512, KernelTier::kAvx512};
 
 #pragma GCC diagnostic pop
 

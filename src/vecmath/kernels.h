@@ -1,13 +1,13 @@
 // Runtime-dispatched SIMD distance kernels.
 //
 // Every query in the system bottoms out in a handful of inner loops: L2^2 /
-// inner-product between float vectors, one-query-vs-block scans over
-// contiguous posting blocks, and ADC table lookups over packed PQ codes.
-// This layer expresses each of those as a function pointer in a
-// DistanceKernels table, resolved exactly once at startup from cpuid (and an
-// optional JDVS_KERNEL_DISPATCH env override) into scalar / AVX2 / AVX-512
-// variants. Call sites use Kernels().l2sq(...) — or the thin wrappers in
-// vecmath/distance.h — and never know which tier is running.
+// inner-product between float vectors and one-query-vs-block scans over
+// contiguous posting blocks. This layer expresses each of those as a
+// function pointer in a DistanceKernels table, resolved exactly once at
+// startup from cpuid (and an optional JDVS_KERNEL_DISPATCH env override)
+// into scalar / AVX2 / AVX-512 variants. Call sites use Kernels().l2sq(...)
+// — or the thin wrappers in vecmath/distance.h — and never know which tier
+// is running.
 //
 // Contract shared by every tier (verified by tests/kernels_test.cc):
 //  * identical semantics across tiers within 1e-4 relative tolerance for any
@@ -64,8 +64,8 @@ struct DistanceKernels {
   // out_dist[j] = distance; returns how many survived. out_idx/out_dist need
   // room for `rows` entries.
   //
-  // Two things make this the IVF hot-loop kernel rather than l2sq_scan +
-  // filter_le:
+  // Two things make this the IVF hot-loop kernel rather than l2sq_scan
+  // followed by a threshold pass over its distances:
   //  * the dot form halves the FP work per lane-group (1 FMA vs sub+FMA) —
   //    the subtract form is FP-port-bound, so this is a real ~1.5x;
   //  * fusing the threshold test removes the dists round-trip through memory
@@ -83,22 +83,6 @@ struct DistanceKernels {
                                   std::size_t rows, float threshold,
                                   std::uint32_t* out_idx,
                                   float* out_dist) noexcept;
-
-  // ADC scan: `count` packed PQ codes of `m` bytes each (contiguous, stride
-  // m) against a per-query table of m x ks partial distances (row-major):
-  // out[c] = sum_s table[s*ks + codes[c*m + s]].
-  void (*pq_adc_scan)(const float* table, std::size_t ks,
-                      const std::uint8_t* codes, std::size_t m,
-                      std::size_t count, float* out) noexcept;
-
-  // Candidate filter: writes the indices j (ascending) with
-  // dists[j] <= threshold into out_idx and returns how many there are.
-  // out_idx must have room for `count` entries. NaN distances never pass.
-  // This is the top-k admission test of a scan: once the heap is warm almost
-  // every candidate fails it, so the SIMD tiers turn 1 compare+branch per
-  // candidate into 1 compare per lane-group.
-  std::size_t (*filter_le)(const float* dists, std::size_t count,
-                           float threshold, std::uint32_t* out_idx) noexcept;
 
   KernelTier tier = KernelTier::kScalar;
 };

@@ -1,7 +1,7 @@
 // Hybrid filtered search: FilterExpression semantics and wire format, the
 // AttributeFilterIndex bitmap/column state, predicate pushdown into the IVF
-// and IVF-PQ scans (exactness vs brute-force filtered ground truth across
-// selectivity regimes), strategy selection, cache-key isolation, concurrent
+// scan (exactness vs brute-force filtered ground truth across selectivity
+// regimes), strategy selection, cache-key isolation, concurrent
 // attribute updates during filtered scans, and cluster-level edge cases
 // (zero-match filters, degradation, partition failover).
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "filter/attribute_filter_index.h"
 #include "filter/filter_expression.h"
 #include "index/ivf_index.h"
-#include "pq/codebook.h"
 #include "search/cluster_builder.h"
 #include "search/query_cache.h"
 #include "store/catalog.h"
@@ -492,116 +491,6 @@ TEST(IvfFilterTest, ConcurrentAttributeUpdatesDuringFilteredSearch) {
   for (auto& r : readers) r.join();
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-}
-
-// ---------------------------------------------------------------------------
-// IVF-PQ pushdown
-// ---------------------------------------------------------------------------
-
-struct PqFilterFixture {
-  PqFilterFixture() {
-    Rng rng(321);
-    std::vector<FeatureVector> training;
-    for (std::size_t i = 0; i < 1024; ++i) {
-      FeatureVector v(kDim);
-      for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-      training.push_back(std::move(v));
-    }
-    KMeansConfig kc;
-    kc.num_clusters = 16;
-    quantizer = std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc));
-    ProductQuantizerConfig pc;
-    pc.num_subspaces = 8;
-    pc.codebook_size = 64;
-    pq = std::make_shared<ProductQuantizer>(
-        ProductQuantizer::Train(training, pc));
-  }
-
-  std::unique_ptr<IvfIndex> Build(std::size_t images,
-                                  IvfIndexConfig config = {}) {
-    auto index = std::make_unique<IvfIndex>(quantizer, pq, config);
-    Rng rng(55);
-    features.clear();
-    for (std::size_t i = 0; i < images; ++i) {
-      FeatureVector v(kDim);
-      for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-      index->AddImage(MakeImageUrl(static_cast<ProductId>(i + 1), 0),
-                      static_cast<ProductId>(i + 1),
-                      static_cast<CategoryId>(i % 8),
-                      {.sales = i, .price_cents = (i * 7) % 10000,
-                       .praise = i % 100},
-                      "", v);
-      features.push_back(std::move(v));
-    }
-    return index;
-  }
-
-  std::shared_ptr<const CoarseQuantizer> quantizer;
-  std::shared_ptr<const ProductQuantizer> pq;
-  std::vector<FeatureVector> features;
-};
-
-TEST(IvfPqFilterTest, HitsSatisfyPredicatesAcrossSelectivities) {
-  PqFilterFixture fx;
-  IvfIndexConfig config;
-  config.nprobe = 16;
-  const auto index = fx.Build(2000, config);
-  const std::uint64_t thresholds[] = {1000, 1900, 1998};  // 50% / 5% / 0.1%
-  Rng rng(9);
-  for (const std::uint64_t min_sales : thresholds) {
-    FilterExpression filter;
-    filter.WithMin(FilterField::kSales, min_sales);
-    for (int qi = 0; qi < 10; ++qi) {
-      FeatureVector q(kDim);
-      for (float& x : q) x = static_cast<float>(rng.NextGaussian());
-      FilterScanStats stats;
-      const auto hits =
-          index->Search(q, 10, {.filter = &filter, .filter_stats = &stats});
-      EXPECT_NE(stats.strategy, FilterScanStats::Strategy::kNone);
-      for (const auto& h : hits) {
-        EXPECT_GE(h.attributes.sales, min_sales) << h.image_url;
-      }
-      // With every list probed the candidate set is complete, so the hit
-      // count must reach min(k, matching population).
-      const auto full = index->Search(q, 10, {.nprobe = 16, .filter = &filter});
-      EXPECT_EQ(full.size(), std::min<std::size_t>(10, 2000 - min_sales));
-      for (const auto& h : full) {
-        EXPECT_GE(h.attributes.sales, min_sales);
-      }
-    }
-  }
-}
-
-TEST(IvfPqFilterTest, RerankPreservesPredicates) {
-  PqFilterFixture fx;
-  IvfIndexConfig config;
-  config.nprobe = 16;
-  config.rerank_candidates = 50;  // IVFADC+R: exact re-rank of the shortlist
-  const auto index = fx.Build(1000, config);
-  FilterExpression filter;
-  filter.WithCategory(4).WithMin(FilterField::kSales, 200);
-  Rng rng(13);
-  for (int qi = 0; qi < 10; ++qi) {
-    FeatureVector q(kDim);
-    for (float& x : q) x = static_cast<float>(rng.NextGaussian());
-    for (const auto& h : index->Search(q, 10, {.filter = &filter})) {
-      EXPECT_EQ(h.category, 4u);
-      EXPECT_GE(h.attributes.sales, 200u);
-    }
-  }
-}
-
-TEST(IvfPqFilterTest, ZeroMatchIsEmptyButSuccessful) {
-  PqFilterFixture fx;
-  const auto index = fx.Build(500);
-  FilterExpression filter;
-  filter.WithMin(FilterField::kPraise, 1u << 20);
-  FilterScanStats stats;
-  FeatureVector q(kDim, 0.5f);
-  EXPECT_TRUE(
-      index->Search(q, 10, {.filter = &filter, .filter_stats = &stats})
-          .empty());
-  EXPECT_EQ(stats.matches, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Property tests for the runtime-dispatched kernel layer: every SIMD tier
 // must agree with scalar within tolerance on every kernel and dimension
-// (including remainder lanes), the ADC scan must match per-candidate table
-// lookups, the aligned scan-block storage must uphold its layout contract
-// (and its lock-free reader contract under a concurrent writer), and the
-// float64-accumulated norms must survive large-magnitude inputs.
+// (including remainder lanes), the aligned scan-block storage must uphold
+// its layout contract (and its lock-free reader contract under a concurrent
+// writer), and the float64-accumulated norms must survive large-magnitude
+// inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -248,62 +248,6 @@ TEST_P(KernelTierTest, ScanFilterClampsIdenticalVectorToZero) {
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_GE(dist[r], 0.f);
     EXPECT_LE(dist[r], 1e-3f);
-  }
-}
-
-TEST_P(KernelTierTest, PqAdcScanMatchesPerCandidateLookups) {
-  if (tier_ == nullptr) GTEST_SKIP() << "tier unsupported on this CPU";
-  Rng rng(99);
-  for (const std::size_t m : {1u, 4u, 8u, 16u}) {
-    const std::size_t ks = 256;
-    std::vector<float> table(m * ks);
-    for (float& x : table) x = static_cast<float>(rng.NextDouble());
-    for (const std::size_t count : {1u, 3u, 7u, 8u, 15u, 16u, 17u, 100u}) {
-      std::vector<std::uint8_t> codes(count * m);
-      for (std::uint8_t& c : codes) {
-        c = static_cast<std::uint8_t>(rng.Below(ks));
-      }
-      std::vector<float> out(count, -1.f);
-      tier_->pq_adc_scan(table.data(), ks, codes.data(), m, count, out.data());
-      for (std::size_t c = 0; c < count; ++c) {
-        float expected = 0.f;
-        for (std::size_t s = 0; s < m; ++s) {
-          expected += table[s * ks + codes[c * m + s]];
-        }
-        ExpectClose(out[c], expected);
-      }
-    }
-  }
-}
-
-TEST_P(KernelTierTest, FilterLeMatchesScalarExactly) {
-  if (tier_ == nullptr) GTEST_SKIP() << "tier unsupported on this CPU";
-  Rng rng(1234);
-  for (const std::size_t count :
-       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 100u, 256u}) {
-    std::vector<float> dists(count);
-    for (float& d : dists) {
-      // Coarse quantization of the values manufactures exact ties with the
-      // thresholds below.
-      d = static_cast<float>(rng.Below(16)) * 0.25f;
-    }
-    for (const float threshold :
-         {-1.f, 0.f, 0.5f, 1.75f, 4.f,
-          std::numeric_limits<float>::infinity()}) {
-      std::vector<std::uint32_t> expected;
-      for (std::size_t j = 0; j < count; ++j) {
-        if (dists[j] <= threshold) {
-          expected.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-      std::vector<std::uint32_t> got(count + 1, 0xdeadbeef);
-      const std::size_t n =
-          tier_->filter_le(dists.data(), count, threshold, got.data());
-      ASSERT_EQ(n, expected.size())
-          << "count=" << count << " threshold=" << threshold;
-      got.resize(n);
-      EXPECT_EQ(got, expected);
-    }
   }
 }
 

@@ -11,11 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/kmeans.h"
 #include "common/hash.h"
 #include "index/full_index_builder.h"
 #include "net/fault_injector.h"
-#include "pq/codebook.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "qos/deadline.h"
@@ -646,6 +644,79 @@ TEST(SearcherTest, SnapshotSaveAndInstallRoundTrip) {
   std::filesystem::remove(path);
 }
 
+// A partition served from a mapped snapshot: one searcher saves it, a second
+// installs it tiered — rows scanned in place from the file under a 1-byte
+// residency budget — and answers like the searcher that wrote it, then keeps
+// taking real-time updates past the file's high-water mark. Parameterized on
+// how many queries the client keeps in flight: 1 joins each answer before
+// the next query is sent, 4 overlaps four scans on the searcher's pool.
+class MappedSnapshotSearcherTest
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MappedSnapshotSearcherTest, ServesPartitionFromMappedSnapshot) {
+  MiniCluster mini;
+  FullIndexBuilderConfig fc;
+  fc.kmeans.num_clusters = 6;
+  fc.index_config.nprobe = 6;
+  FullIndexBuilder builder(mini.catalog, mini.images, mini.features, fc);
+  Searcher::Config config;
+  config.threads = 4;
+  Searcher source("s-source", config, mini.features,
+                  AcceptAllPartitionFilter());
+  source.InstallIndex(builder.Build(mini.quantizer, AcceptAllPartitionFilter()),
+                      /*update_hwm=*/17);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("jdvs_mapped_install_" + std::to_string(::getpid()) + "_" +
+        std::to_string(GetParam()) + ".snap"))
+          .string();
+  source.SaveIndexSnapshot(path);
+  {
+    Searcher mapped("s-mapped", config, mini.features,
+                    AcceptAllPartitionFilter());
+    mapped.InstallFromTieredSnapshot(path, /*resident_budget_bytes=*/1);
+    EXPECT_EQ(mapped.applied_sequence(), 17u);
+    // Queries for products 1..24 in waves of GetParam(), every query of a
+    // wave dispatched before any is joined.
+    const std::size_t in_flight = GetParam();
+    std::vector<FeatureVector> queries;
+    for (ProductId pid = 1; pid <= 24; ++pid) {
+      queries.push_back(mini.embedder.ExtractQuery(
+          pid, mini.catalog.Get(pid)->category, /*seed=*/pid));
+    }
+    for (std::size_t begin = 0; begin < queries.size(); begin += in_flight) {
+      const std::size_t end = std::min(queries.size(), begin + in_flight);
+      std::vector<std::future<std::vector<SearchHit>>> futures;
+      for (std::size_t i = begin; i < end; ++i) {
+        futures.push_back(mapped.SearchAsync(queries[i], /*k=*/5));
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        ExpectSameHitList(futures[i - begin].get(),
+                          source.SearchLocal(queries[i], /*k=*/5));
+      }
+    }
+
+    ProductUpdateMessage add;
+    add.type = UpdateType::kAddProduct;
+    add.product_id = 5000;
+    add.category_id = 2;
+    add.attributes = {.sales = 7, .price_cents = 300, .praise = 2};
+    add.image_urls = {MakeImageUrl(5000, 0), MakeImageUrl(5000, 1)};
+    add.sequence = 18;
+    ASSERT_TRUE(mapped.ApplyUpdate(add));
+    EXPECT_EQ(mapped.applied_sequence(), 18u);
+    const auto hits =
+        mapped.SearchAsync(mini.embedder.ExtractQuery(5000, 2, /*seed=*/3), 3)
+            .get();
+    ASSERT_FALSE(hits.empty());
+    EXPECT_EQ(hits[0].product_id, 5000u);
+  }
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(InFlight, MappedSnapshotSearcherTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
 TEST(BlenderTest, CategoryFilterNarrowsResults) {
   MiniCluster mini;
   Blender::Config bc;
@@ -1001,196 +1072,6 @@ TEST(ClusterObservabilityTest, RegistryMatchesComponentCounters) {
   EXPECT_EQ(tier->Value(), static_cast<std::int64_t>(ActiveKernelTier()));
   cluster->Stop();
 }
-
-// A Searcher serves a PQ-coded partition as it is: the list codec lives in
-// the installed IvfIndex, so no searcher setting selects it. Parameterized
-// on how many queries the client keeps in flight: 1 joins each answer before
-// the next query is sent, 4 overlaps four scans on the searcher's pool.
-class PqSearcherTest : public ::testing::TestWithParam<std::size_t> {
- protected:
-  static constexpr ProductId kProducts = 90;
-  static constexpr CategoryId kCategories = 6;
-
-  PqSearcherTest()
-      : embedder({.dim = 32, .num_categories = kCategories, .seed = 9}),
-        features(embedder, ExtractionCostModel{.mean_micros = 0}) {}
-
-  FeatureVector Feature(ProductId pid, std::uint32_t k) const {
-    return embedder.Extract(
-        {MakeImageUrl(pid, k), pid, static_cast<CategoryId>(pid % kCategories)});
-  }
-
-  std::unique_ptr<IvfIndex> BuildPqIndex() const {
-    std::vector<FeatureVector> training;
-    for (ProductId pid = 1; pid <= kProducts; ++pid) {
-      for (std::uint32_t k = 0; k < 2; ++k) training.push_back(Feature(pid, k));
-    }
-    KMeansConfig kc;
-    kc.num_clusters = 8;
-    auto quantizer = std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc));
-    ProductQuantizerConfig pc;
-    pc.num_subspaces = 8;
-    pc.codebook_size = 32;
-    auto pq = std::make_shared<ProductQuantizer>(
-        ProductQuantizer::Train(training, pc));
-    IvfIndexConfig config;
-    config.nprobe = 3;
-    config.rerank_candidates = 20;
-    auto index = std::make_unique<IvfIndex>(quantizer, pq, config);
-    for (ProductId pid = 1; pid <= kProducts; ++pid) {
-      for (std::uint32_t k = 0; k < 2; ++k) {
-        index->AddImage(MakeImageUrl(pid, k), pid,
-                        static_cast<CategoryId>(pid % kCategories),
-                        {.sales = pid * 10, .price_cents = 100, .praise = 1},
-                        "", Feature(pid, k));
-      }
-    }
-    return index;
-  }
-
-  FeatureVector Query(ProductId pid, std::uint64_t seed) const {
-    return embedder.ExtractQuery(
-        pid, static_cast<CategoryId>(pid % kCategories), seed);
-  }
-
-  // Sends queries for products 1..24 in waves of GetParam(), every query of
-  // a wave dispatched before any is joined, and checks each answer against
-  // the index's own.
-  void ExpectAnswersMatchIndex(Searcher& searcher, const IvfIndex& index) {
-    const std::size_t in_flight = GetParam();
-    std::vector<FeatureVector> queries;
-    for (ProductId pid = 1; pid <= 24; ++pid) {
-      queries.push_back(Query(pid, pid));
-    }
-    for (std::size_t begin = 0; begin < queries.size(); begin += in_flight) {
-      const std::size_t end = std::min(queries.size(), begin + in_flight);
-      std::vector<std::future<std::vector<SearchHit>>> futures;
-      for (std::size_t i = begin; i < end; ++i) {
-        futures.push_back(searcher.SearchAsync(queries[i], /*k=*/5));
-      }
-      for (std::size_t i = begin; i < end; ++i) {
-        ExpectSameHitList(futures[i - begin].get(),
-                          index.Search(queries[i], 5));
-      }
-    }
-  }
-
-  SyntheticEmbedder embedder;
-  FeatureDb features;
-};
-
-TEST_P(PqSearcherTest, ServesPqCodedPartition) {
-  Searcher::Config config;
-  config.threads = 4;
-  Searcher searcher("s-pq", config, features, AcceptAllPartitionFilter());
-  std::unique_ptr<IvfIndex> owned = BuildPqIndex();
-  const IvfIndex& index = *owned;
-  ASSERT_NE(index.pq(), nullptr);
-  searcher.InstallIndex(std::move(owned));
-
-  ExpectAnswersMatchIndex(searcher, index);
-
-  // Real-time updates through the searcher show in the next answer.
-  constexpr ProductId kFresh = 500;
-  const CategoryId fresh_category = kFresh % kCategories;
-  ProductUpdateMessage add;
-  add.type = UpdateType::kAddProduct;
-  add.product_id = kFresh;
-  add.category_id = fresh_category;
-  add.attributes = {.sales = 7, .price_cents = 300, .praise = 2};
-  for (std::uint32_t k = 0; k < 2; ++k) {
-    add.image_urls.push_back(MakeImageUrl(kFresh, k));
-  }
-  ASSERT_TRUE(searcher.ApplyUpdate(add));
-  const FeatureVector fresh_query =
-      embedder.ExtractQuery(kFresh, fresh_category, /*seed=*/3);
-  auto hits = searcher.SearchAsync(fresh_query, 3).get();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].product_id, kFresh);
-  ExpectSameHitList(hits, index.Search(fresh_query, 3));
-
-  ProductUpdateMessage attrs;
-  attrs.type = UpdateType::kAttributeUpdate;
-  attrs.product_id = kFresh;
-  attrs.attributes = {.sales = 4242, .price_cents = 300, .praise = 2};
-  ASSERT_TRUE(searcher.ApplyUpdate(attrs));
-  hits = searcher.SearchAsync(fresh_query, 3).get();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].product_id, kFresh);
-  EXPECT_EQ(hits[0].attributes.sales, 4242u);
-
-  ProductUpdateMessage del;
-  del.type = UpdateType::kRemoveProduct;
-  del.product_id = kFresh;
-  ASSERT_TRUE(searcher.ApplyUpdate(del));
-  for (const SearchHit& hit : searcher.SearchAsync(fresh_query, 10).get()) {
-    EXPECT_NE(hit.product_id, kFresh);
-  }
-
-  // A filtered query's hits satisfy its filter.
-  FilterExpression filter;
-  filter.WithMin(FilterField::kSales, 450);
-  for (ProductId pid = 1; pid <= 10; ++pid) {
-    const auto filtered =
-        searcher
-            .SearchAsync(Query(pid, 100 + pid), /*k=*/5, {.filter = filter})
-            .get();
-    EXPECT_FALSE(filtered.empty());
-    for (const SearchHit& hit : filtered) {
-      EXPECT_GE(hit.attributes.sales, 450u) << hit.image_url;
-    }
-  }
-}
-
-// A PQ partition served from a mapped snapshot: one searcher saves it, a
-// second installs it tiered — PQ codes scanned in place from the file under
-// a 1-byte residency budget — and answers like the index that wrote it,
-// then keeps taking real-time updates past the file's high-water mark.
-TEST_P(PqSearcherTest, ServesPqPartitionFromMappedSnapshot) {
-  Searcher::Config config;
-  config.threads = 4;
-  Searcher source("s-pq-source", config, features, AcceptAllPartitionFilter());
-  std::unique_ptr<IvfIndex> owned = BuildPqIndex();
-  const IvfIndex& index = *owned;
-  source.InstallIndex(std::move(owned), /*update_hwm=*/17);
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("jdvs_pq_mapped_" + std::to_string(::getpid()) + "_" +
-        std::to_string(GetParam()) + ".snap"))
-          .string();
-  source.SaveIndexSnapshot(path);
-  {
-    Searcher mapped("s-pq-mapped", config, features,
-                    AcceptAllPartitionFilter());
-    mapped.InstallFromTieredSnapshot(path, /*resident_budget_bytes=*/1);
-    EXPECT_EQ(mapped.applied_sequence(), 17u);
-    ExpectAnswersMatchIndex(mapped, index);
-
-    constexpr ProductId kFresh = 500;
-    const CategoryId fresh_category = kFresh % kCategories;
-    ProductUpdateMessage add;
-    add.type = UpdateType::kAddProduct;
-    add.product_id = kFresh;
-    add.category_id = fresh_category;
-    add.attributes = {.sales = 7, .price_cents = 300, .praise = 2};
-    add.image_urls = {MakeImageUrl(kFresh, 0), MakeImageUrl(kFresh, 1)};
-    add.sequence = 18;
-    ASSERT_TRUE(mapped.ApplyUpdate(add));
-    EXPECT_EQ(mapped.applied_sequence(), 18u);
-    const auto hits =
-        mapped
-            .SearchAsync(embedder.ExtractQuery(kFresh, fresh_category,
-                                               /*seed=*/3),
-                         3)
-            .get();
-    ASSERT_FALSE(hits.empty());
-    EXPECT_EQ(hits[0].product_id, kFresh);
-  }
-  std::filesystem::remove(path);
-}
-
-INSTANTIATE_TEST_SUITE_P(BatchLimits, PqSearcherTest,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 }  // namespace
 }  // namespace jdvs

@@ -33,14 +33,15 @@ class SnapshotTest : public ::testing::Test {
 };
 
 struct Built {
-  Built() : features(embedder, ExtractionCostModel{.mean_micros = 0}) {
+  explicit Built(const IvfIndexConfig& config = {})
+      : features(embedder, ExtractionCostModel{.mean_micros = 0}) {
     CatalogGenConfig cg;
     cg.num_products = 80;
     cg.num_categories = 8;
     GenerateCatalog(cg, catalog, images);
     FullIndexBuilderConfig fc;
     fc.kmeans.num_clusters = 16;
-    fc.index_config.nprobe = 4;
+    fc.index_config = config;
     FullIndexBuilder builder(catalog, images, features, fc);
     index = builder.Build(builder.TrainQuantizer());
   }
@@ -86,6 +87,44 @@ TEST_F(SnapshotTest, RoundTripPreservesConfig) {
   const auto loaded = LoadIndexSnapshot(path);
   EXPECT_EQ(loaded->config().nprobe, built.index->config().nprobe);
   EXPECT_EQ(loaded->dim(), built.index->dim());
+}
+
+// One config block and one header: every IvfIndexConfig knob, set away
+// from its default, and the update high-water mark survive the round trip
+// through either loader.
+TEST_F(SnapshotTest, RoundTripPreservesConfigAndHighWaterMark) {
+  const IvfIndexConfig defaults;
+  const IvfIndexConfig config{.nprobe = 5,
+                              .filter_invalid_during_scan = false,
+                              .filter_post_threshold = 0.75,
+                              .filter_widen_threshold = 0.02,
+                              .filter_widen_factor = 3};
+  ASSERT_NE(config.nprobe, defaults.nprobe);
+  ASSERT_NE(config.filter_invalid_during_scan,
+            defaults.filter_invalid_during_scan);
+  ASSERT_NE(config.filter_post_threshold, defaults.filter_post_threshold);
+  ASSERT_NE(config.filter_widen_threshold, defaults.filter_widen_threshold);
+  ASSERT_NE(config.filter_widen_factor, defaults.filter_widen_factor);
+  Built built(config);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/42);
+
+  std::uint64_t heap_hwm = 0;
+  std::uint64_t mapped_hwm = 0;
+  const auto heap = LoadIndexSnapshot(path, &heap_hwm);
+  const auto mapped =
+      LoadTieredSnapshot(path, TieredStoreConfig{}, &mapped_hwm);
+  EXPECT_EQ(heap_hwm, 42u);
+  EXPECT_EQ(mapped_hwm, 42u);
+  for (const IvfIndex* loaded : {heap.get(), mapped.get()}) {
+    const IvfIndexConfig& got = loaded->config();
+    EXPECT_EQ(got.nprobe, 5u);
+    EXPECT_FALSE(got.filter_invalid_during_scan);
+    EXPECT_EQ(got.filter_post_threshold, 0.75);
+    EXPECT_EQ(got.filter_widen_threshold, 0.02);
+    EXPECT_EQ(got.filter_widen_factor, 3u);
+    EXPECT_EQ(loaded->dim(), built.index->dim());
+  }
 }
 
 // The snapshot persists the attribute filter state (category bitmaps +
@@ -225,125 +264,27 @@ TEST_F(SnapshotTest, EmptyIndexRoundTrips) {
   EXPECT_EQ(loaded->size(), 0u);
 }
 
-// ---- PQ-coded snapshots: the same format and loaders as the flat codec ----
-
-IvfIndexConfig PqConfig(bool keep_raw) {
-  IvfIndexConfig config;
-  config.nprobe = 8;
-  config.rerank_candidates = keep_raw ? 20 : 0;
-  return config;
-}
-
-struct PqBuilt {
-  explicit PqBuilt(bool keep_raw = false) : PqBuilt(PqConfig(keep_raw)) {}
-  explicit PqBuilt(const IvfIndexConfig& config) {
-    std::vector<FeatureVector> training;
-    for (ProductId pid = 1; pid <= 100; ++pid) {
-      training.push_back(embedder.Extract(
-          {MakeImageUrl(pid, 0), pid, static_cast<CategoryId>(pid % 8)}));
-    }
-    KMeansConfig kc;
-    kc.num_clusters = 8;
-    auto quantizer =
-        std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc));
-    ProductQuantizerConfig pc;
-    pc.num_subspaces = 4;
-    pc.codebook_size = 32;
-    auto pq = std::make_shared<ProductQuantizer>(
-        ProductQuantizer::Train(training, pc));
-    index = std::make_unique<IvfIndex>(quantizer, pq, config);
-    const ProductAttributes attrs{.sales = 4, .price_cents = 99, .praise = 2};
-    for (ProductId pid = 1; pid <= 60; ++pid) {
-      for (std::uint32_t k = 0; k < 2; ++k) {
-        const std::string url = MakeImageUrl(pid, k);
-        index->AddImage(url, pid, static_cast<CategoryId>(pid % 8), attrs, "",
-                        embedder.Extract(
-                            {url, pid, static_cast<CategoryId>(pid % 8)}));
-      }
-    }
-    index->SetProductValidity(9, false);
-  }
-  SyntheticEmbedder embedder{{.dim = 24, .num_categories = 8, .seed = 6}};
-  std::unique_ptr<IvfIndex> index;
-};
-
-TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
-  PqBuilt built;
-  const std::string path = PathFor("pq.snap");
-  SaveIndexSnapshot(*built.index, path);
-  const auto loaded = LoadIndexSnapshot(path);
-  ASSERT_EQ(loaded->size(), built.index->size());
-  EXPECT_EQ(loaded->Stats().valid_images, built.index->Stats().valid_images);
-  for (ProductId pid = 1; pid <= 30; ++pid) {
-    const auto query = built.embedder.ExtractQuery(
-        pid, static_cast<CategoryId>(pid % 8), pid);
-    const auto original = built.index->Search(query, 5);
-    const auto restored = loaded->Search(query, 5);
-    ASSERT_EQ(original.size(), restored.size()) << "pid " << pid;
-    for (std::size_t i = 0; i < original.size(); ++i) {
-      EXPECT_EQ(original[i].image_id, restored[i].image_id);
-      EXPECT_FLOAT_EQ(original[i].distance, restored[i].distance);
-    }
-  }
-}
-
-TEST_F(SnapshotTest, PqRoundTripWithRefinementStore) {
-  PqBuilt built(/*keep_raw=*/true);
-  const std::string path = PathFor("pq_raw.snap");
-  SaveIndexSnapshot(*built.index, path);
-  const auto loaded = LoadIndexSnapshot(path);
-  EXPECT_GT(loaded->Stats().raw_memory_bytes, 0u);
-  for (ProductId pid = 1; pid <= 20; ++pid) {
-    const auto query = built.embedder.ExtractQuery(
-        pid, static_cast<CategoryId>(pid % 8), pid);
-    const auto original = built.index->Search(query, 5);
-    const auto restored = loaded->Search(query, 5);
-    ASSERT_EQ(original.size(), restored.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-      EXPECT_EQ(original[i].image_id, restored[i].image_id);
-      EXPECT_FLOAT_EQ(original[i].distance, restored[i].distance);
-    }
-  }
-}
-
-TEST_F(SnapshotTest, PqBadMagicThrows) {
-  const std::string path = PathFor("pq_garbage.snap");
-  std::ofstream(path, std::ios::binary) << "junk junk junk junk";
-  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
-}
-
-TEST_F(SnapshotTest, PqTruncatedThrows) {
-  PqBuilt built;
-  const std::string path = PathFor("pq.snap");
-  SaveIndexSnapshot(*built.index, path);
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
-}
-
 // A list naming a local id past the entry section, or one another list
 // slot already names, is refused by both loaders rather than attached.
 TEST_F(SnapshotTest, OutOfRangeLocalIdThrows) {
-  PqBuilt built;
+  Built built;
   const IvfIndex& index = *built.index;
-  ASSERT_FALSE(index.keeps_raw());
-  const std::string path = PathFor("pq.snap");
+  const std::string path = PathFor("index.snap");
   SaveIndexSnapshot(index, path);
   // Offset of the stored id arrays: prefix, config block, coarse centroids,
-  // PQ shape + codebooks, row stride, the entry section, the raw-feature
-  // flag, then the directory. Ids and norms (4 bytes each) follow list by
-  // list; the test patches the second id of the first list holding two.
-  std::size_t offset = 8 + 4 + 8 + 8 + (8 + 1 + 8 + 8 + 8 + 8) + 8 + 8 +
+  // row stride, the entry section, then the directory. Ids and norms (4
+  // bytes each) follow list by list; the test patches the second id of the
+  // first list holding two.
+  std::size_t offset = 8 + 4 + 8 + 8 + (8 + 1 + 8 + 8 + 8) + 8 + 8 +
                        index.quantizer().num_clusters() * index.dim() *
                            sizeof(float) +
-                       8 + 8 + index.pq()->codebooks().size() * sizeof(float) +
                        8 + 8;
-  index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView, bool) {
-    offset += 4 + snapshot.image_url.size() + 8 + 4 + 3 * 8 + 4 +
-              snapshot.detail_url.size() + 1;
-  });
-  offset += 1 + 8 + index.num_lists() * (8 + 8 + 8 + 4);
+  index.ForEachEntry(
+      [&](LocalId, const AttributeSnapshot& snapshot, bool) {
+        offset += 4 + snapshot.image_url.size() + 8 + 4 + 3 * 8 + 4 +
+                  snapshot.detail_url.size() + 1;
+      });
+  offset += 8 + index.num_lists() * (8 + 8 + 8 + 4);
   std::size_t list = 0;
   while (index.ListEntryCount(list) < 2) {
     offset += index.ListEntryCount(list) * (sizeof(LocalId) + 4);
@@ -375,90 +316,6 @@ TEST_F(SnapshotTest, OutOfRangeLocalIdThrows) {
     }
     EXPECT_THROW(LoadIndexSnapshot(bad), SnapshotError);
     EXPECT_THROW(LoadTieredSnapshot(bad, TieredStoreConfig{}), SnapshotError);
-  }
-}
-
-// One config block and one header serve both codecs: a PQ round trip keeps
-// every knob, including the four filter knobs, and the update high-water
-// mark, through either loader.
-TEST_F(SnapshotTest, PqRoundTripPreservesConfigAndHighWaterMark) {
-  IvfIndexConfig config = PqConfig(/*keep_raw=*/true);
-  config.nprobe = 5;
-  config.filter_invalid_during_scan = false;
-  config.filter_post_threshold = 0.75;
-  config.filter_widen_threshold = 0.02;
-  config.filter_widen_factor = 3;
-  PqBuilt built(config);
-  const std::string path = PathFor("pq_config.snap");
-  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/42);
-
-  std::uint64_t heap_hwm = 0;
-  std::uint64_t mapped_hwm = 0;
-  const auto heap = LoadIndexSnapshot(path, &heap_hwm);
-  const auto mapped =
-      LoadTieredSnapshot(path, TieredStoreConfig{}, &mapped_hwm);
-  EXPECT_EQ(heap_hwm, 42u);
-  EXPECT_EQ(mapped_hwm, 42u);
-  for (const IvfIndex* loaded : {heap.get(), mapped.get()}) {
-    ASSERT_NE(loaded->pq(), nullptr);
-    const IvfIndexConfig& got = loaded->config();
-    EXPECT_EQ(got.nprobe, 5u);
-    EXPECT_FALSE(got.filter_invalid_during_scan);
-    EXPECT_EQ(got.filter_post_threshold, 0.75);
-    EXPECT_EQ(got.filter_widen_threshold, 0.02);
-    EXPECT_EQ(got.filter_widen_factor, 3u);
-    EXPECT_EQ(got.rerank_candidates, 20u);
-    EXPECT_TRUE(loaded->keeps_raw());
-  }
-}
-
-// PQ codes served in place from a mapped file: with a 1-byte residency
-// budget every probe after the first refaults its list, and answers still
-// equal the original index's, with and without the rerank store.
-TEST_F(SnapshotTest, PqMappedLoadIsBitExact) {
-  for (const bool keep_raw : {false, true}) {
-    SCOPED_TRACE(keep_raw ? "with rerank store" : "codes only");
-    PqBuilt built(keep_raw);
-    const std::string path = PathFor(keep_raw ? "pq_raw.snap" : "pq.snap");
-    SaveIndexSnapshot(*built.index, path, /*update_hwm=*/7);
-
-    TieredStoreConfig tier;
-    tier.resident_bytes_budget = 1;
-    const auto mapped = LoadTieredSnapshot(path, tier);
-    ASSERT_NE(mapped->tiered_store(), nullptr);
-    ASSERT_NE(mapped->pq(), nullptr);
-    EXPECT_EQ(mapped->keeps_raw(), keep_raw);
-
-    FilterExpression filter;
-    filter.WithCategoryRange(0, 3);
-    for (ProductId pid = 1; pid <= 30; ++pid) {
-      const auto query = built.embedder.ExtractQuery(
-          pid, static_cast<CategoryId>(pid % 8), pid);
-      const auto original = built.index->Search(query, 5);
-      const auto restored = mapped->Search(query, 5);
-      ASSERT_EQ(original.size(), restored.size()) << "pid " << pid;
-      for (std::size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ(original[i].image_id, restored[i].image_id);
-        EXPECT_EQ(original[i].distance, restored[i].distance);
-      }
-      const auto want =
-          built.index->Search(query, 5, {.nprobe = 8, .filter = &filter});
-      const auto got =
-          mapped->Search(query, 5, {.nprobe = 8, .filter = &filter});
-      ASSERT_EQ(want.size(), got.size()) << "filtered pid " << pid;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(want[i].image_id, got[i].image_id);
-        EXPECT_EQ(want[i].distance, got[i].distance);
-      }
-    }
-    EXPECT_GT(mapped->tiered_store()->Stats().misses, 0u);
-
-    const auto heap = LoadIndexSnapshot(path);
-    const IndexDigest heap_digest = ComputeIndexDigest(*heap);
-    const IndexDigest mapped_digest = ComputeIndexDigest(*mapped);
-    EXPECT_EQ(heap_digest.content_hash, mapped_digest.content_hash);
-    EXPECT_EQ(heap_digest.entries, mapped_digest.entries);
-    EXPECT_EQ(heap_digest.valid_entries, mapped_digest.valid_entries);
   }
 }
 

@@ -126,7 +126,7 @@ TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
   }
 }
 
-TEST_F(TierTest, HeapLoadDispatchesV4AndMatchesMapped) {
+TEST_F(TierTest, HeapLoadMatchesMapped) {
   Built built;
   const std::string path = PathFor("index.snap");
   SaveIndexSnapshot(*built.index, path, /*update_hwm=*/9);
@@ -200,7 +200,7 @@ TEST_F(TierTest, MappedIndexAcceptsNewWrites) {
   EXPECT_EQ(ComputeIndexDigest(*mapped).entries, before.entries + 1);
 }
 
-TEST_F(TierTest, TruncatedV4Throws) {
+TEST_F(TierTest, TruncatedSnapshotThrowsFromBothLoaders) {
   Built built;
   const std::string path = PathFor("index.snap");
   SaveIndexSnapshot(*built.index, path);
@@ -214,10 +214,12 @@ TEST_F(TierTest, TruncatedV4Throws) {
   // Cut mid-head: the directory/verification stream itself is truncated.
   std::filesystem::resize_file(path, 100);
   EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 
   // Cut mid-prefix.
   std::filesystem::resize_file(path, 12);
   EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
 TEST_F(TierTest, CorruptDirectoryThrows) {
@@ -243,7 +245,7 @@ TEST_F(TierTest, OtherVersionThrowsFromBothLoaders) {
   SaveIndexSnapshot(*built.index, path);
   // The version field follows the 8-byte magic; both loaders read only the
   // version the writer emits.
-  for (const std::uint32_t version : {5u, 7u}) {
+  for (const std::uint32_t version : {6u, 8u}) {
     {
       std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
       f.seekp(8);
@@ -518,7 +520,7 @@ TEST_F(TierTest, RoundTripCarriesChecksums) {
 
   // The directory reports matching metadata and the offline verify is clean.
   const TieredDirectoryInfo dir = ReadTieredDirectory(path);
-  EXPECT_EQ(dir.version, 6u);
+  EXPECT_EQ(dir.version, 7u);
   EXPECT_EQ(dir.segments.size(), built.index->num_lists());
   const TieredVerifyResult verify = VerifyTieredSnapshot(path);
   EXPECT_GT(verify.checked, 0u);

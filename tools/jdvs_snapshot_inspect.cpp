@@ -76,16 +76,9 @@ int Inspect(const std::string& path) {
   const std::uint64_t ram_arrays = stats.total_images * 8ULL;
 
   std::printf("%s: IVF index snapshot\n", path.c_str());
-  if (const ProductQuantizer* pq = index->pq()) {
-    std::printf("  codec:          PQ, M=%zu, Ks=%zu, %zu-byte codes%s\n",
-                pq->num_subspaces(), pq->codebook_size(), pq->code_bytes(),
-                index->keeps_raw() ? " + raw rerank store" : "");
-  } else {
-    std::printf("  codec:          flat, %zu-float rows\n",
-                index->padded_dim());
-  }
   std::printf("  update hwm:     %llu\n", (unsigned long long)update_hwm);
-  std::printf("  dim:            %zu\n", index->dim());
+  std::printf("  dim:            %zu (%zu-float padded rows)\n", index->dim(),
+              index->padded_dim());
   std::printf("  entries:        %zu (%zu valid)\n", stats.total_images,
               stats.valid_images);
   std::printf("  inverted lists: %zu (largest %zu)\n", stats.num_lists,
