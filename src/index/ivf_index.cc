@@ -333,30 +333,31 @@ IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
   return plan;
 }
 
-SearchHit IvfIndex::MaterializeHit(const ScoredImage& scored) const {
-  const auto local = static_cast<LocalId>(scored.image_id);
-  const AttributeSnapshot snapshot = forward_.Get(local);
-  SearchHit hit;
-  hit.image_id = snapshot.image_id;
-  hit.distance = scored.distance;
-  hit.product_id = snapshot.product_id;
-  hit.category = snapshot.category;
-  hit.attributes = snapshot.attributes;
-  hit.image_url = std::string(snapshot.image_url);
-  hit.detail_url = std::string(snapshot.detail_url);
-  return hit;
-}
-
-std::vector<SearchHit> IvfIndex::MaterializeRanked(
+HitList IvfIndex::MaterializeRanked(
     std::span<const ScoredImage> ranked) const {
-  std::vector<SearchHit> hits;
-  hits.reserve(ranked.size());
+  // Size the URL buffer first so the list is exactly two allocations. A
+  // concurrent detail-URL update can change a length between the passes;
+  // that only costs a regrow.
+  std::size_t url_bytes = 0;
   for (const ScoredImage& scored : ranked) {
-    if (!config_.filter_invalid_during_scan &&
-        !valid_.Get(static_cast<LocalId>(scored.image_id))) {
+    const AttributeSnapshot snapshot =
+        forward_.Get(static_cast<LocalId>(scored.image_id));
+    url_bytes += snapshot.image_url.size() + snapshot.detail_url.size();
+  }
+  HitList hits;
+  hits.Reserve(ranked.size(), url_bytes);
+  for (const ScoredImage& scored : ranked) {
+    const auto local = static_cast<LocalId>(scored.image_id);
+    if (!config_.filter_invalid_during_scan && !valid_.Get(local)) {
       continue;  // late filtering (ablation baseline)
     }
-    hits.push_back(MaterializeHit(scored));
+    const AttributeSnapshot snapshot = forward_.Get(local);
+    hits.Append({.image_id = snapshot.image_id,
+                 .distance = scored.distance,
+                 .category = snapshot.category,
+                 .product_id = snapshot.product_id,
+                 .attributes = snapshot.attributes},
+                snapshot.image_url, snapshot.detail_url);
   }
   return hits;
 }
@@ -387,6 +388,11 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
 
 std::vector<SearchHit> IvfIndex::Search(
     FeatureView query, std::size_t k, const IvfSearchOptions& options) const {
+  return SearchList(query, k, options).Unpack();
+}
+
+HitList IvfIndex::SearchList(FeatureView query, std::size_t k,
+                             const IvfSearchOptions& options) const {
   assert(query.size() == dim());
   const FilterPlan plan =
       PlanFilteredScan(options.filter, options.nprobe, options.filter_stats);
@@ -416,16 +422,16 @@ std::vector<SearchHit> IvfIndex::Search(
 
 std::vector<SearchHit> IvfIndex::SearchExhaustive(FeatureView query,
                                                   std::size_t k) const {
-  return ExhaustiveScan(query, k, nullptr);
+  return ExhaustiveScan(query, k, nullptr).Unpack();
 }
 
 std::vector<SearchHit> IvfIndex::SearchExhaustive(
     FeatureView query, std::size_t k, const FilterExpression& filter) const {
-  return ExhaustiveScan(query, k, &filter);
+  return ExhaustiveScan(query, k, &filter).Unpack();
 }
 
-std::vector<SearchHit> IvfIndex::ExhaustiveScan(
-    FeatureView query, std::size_t k, const FilterExpression* filter) const {
+HitList IvfIndex::ExhaustiveScan(FeatureView query, std::size_t k,
+                                 const FilterExpression* filter) const {
   alignas(kCacheLineBytes) float stack_query[kMaxStackQueryFloats];
   AlignedArray<float> heap_query;
   float* padded = QueryScratch(stack_query, heap_query);
@@ -455,11 +461,7 @@ std::vector<SearchHit> IvfIndex::ExhaustiveScan(
       }
     });
   }
-  std::vector<SearchHit> hits;
-  for (const ScoredImage& scored : topk.TakeSorted()) {
-    hits.push_back(MaterializeHit(scored));
-  }
-  return hits;
+  return MaterializeRanked(topk.TakeSorted());
 }
 
 void IvfIndex::ForEachEntry(
@@ -490,7 +492,6 @@ IvfIndexStats IvfIndex::Stats() const {
     stats.code_memory_bytes += block->memory_bytes();
   }
   stats.buffer_bytes = forward_.buffer_bytes_used();
-  stats.code_bytes_per_vector = row_bytes();
   return stats;
 }
 

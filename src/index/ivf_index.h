@@ -75,10 +75,8 @@ struct IvfIndexStats {
   // Scan-storage chunk growths past each list's first chunk, summed.
   std::uint64_t list_expansions = 0;
   std::size_t buffer_bytes = 0;
-  // List storage footprint: payload bytes per entry (the padded float row)
-  // and heap bytes allocated by the lists' scan storage (ids, payload and
+  // Heap bytes allocated by the lists' scan storage (ids, payload and
   // norms; mapped tiered payload excluded).
-  std::size_t code_bytes_per_vector = 0;
   std::size_t code_memory_bytes = 0;
 };
 
@@ -150,7 +148,11 @@ class IvfIndex {
   // wholly-dead 64-entry sub-blocks, widening nprobe when almost nothing
   // matches. A category scope — the production use of the detector output
   // (Section 2.4) — is one such predicate. In tiered mode the probed lists
-  // are pinned in the residency cache before the scan.
+  // are pinned in the residency cache before the scan. The answer is the
+  // packed list a searcher ships to its broker.
+  HitList SearchList(FeatureView query, std::size_t k,
+                     const IvfSearchOptions& options = {}) const;
+  // SearchList unpacked into SearchHits.
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
                                 const IvfSearchOptions& options = {}) const;
   // Positional form kept for the repository benchmark: scopes the query to
@@ -319,14 +321,13 @@ class IvfIndex {
   bool Admits(const Admission& admission, LocalId local,
               bool in_alive_mask) const;
 
-  SearchHit MaterializeHit(const ScoredImage& scored) const;
-  // Materializes ranked scan results, applying the late validity filter when
-  // the ablation flag disabled filtering during the scan.
-  std::vector<SearchHit> MaterializeRanked(
-      std::span<const ScoredImage> ranked) const;
+  // The one materialization: ranked scan results (local ids) joined with
+  // the forward index into a packed list, applying the late validity filter
+  // when the ablation flag disabled filtering during the scan.
+  HitList MaterializeRanked(std::span<const ScoredImage> ranked) const;
   // Both SearchExhaustive forms; `filter` may be null.
-  std::vector<SearchHit> ExhaustiveScan(FeatureView query, std::size_t k,
-                                        const FilterExpression* filter) const;
+  HitList ExhaustiveScan(FeatureView query, std::size_t k,
+                         const FilterExpression* filter) const;
 
   static constexpr std::size_t kMaxStackQueryFloats = 1024;
 

@@ -404,7 +404,7 @@ void Blender::FinishQuery(const std::shared_ptr<RequestState>& state,
   std::size_t partitions_failed = 0;
   std::size_t tier_degraded = 0;
   std::string first_error;
-  std::vector<std::vector<SearchHit>> partials;
+  std::vector<HitList> partials;
   partials.reserve(slots.size());
   for (auto& slot : slots) {
     if (slot.ok()) {
@@ -446,12 +446,13 @@ void Blender::FinishQuery(const std::shared_ptr<RequestState>& state,
 
   // 4. "combines and ranks the results": merge by distance, then rank by
   //    similarity + sales/praise/price attributes — unless ranking was
-  //    degraded away (level 2), in which case distance order stands.
+  //    degraded away (level 2), in which case distance order stands. Only
+  //    the merge's survivors are unpacked into SearchHits.
   {
     obs::Span rank = state->root.StartChild("rank", node_.name());
     const Stopwatch rank_watch(MonotonicClock::Instance());
     std::vector<SearchHit> merged =
-        MergeHits(std::move(partials), state->fetch_k);
+        MergeHitLists(partials, state->fetch_k).Unpack();
     if (state->skip_rerank) {
       rank.AddTag("skipped", std::uint64_t{1});
       state->response.results.reserve(

@@ -198,7 +198,7 @@ std::future<std::vector<SearchHit>> Broker::SearchAsync(
   auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
   SearchAsync(std::move(query), k, std::move(options),
               [done = std::move(done)](SearchResult result) {
-                done(result.ok() ? Hits::Ok(std::move(result.value->hits))
+                done(result.ok() ? Hits::Ok(result.value->hits.Unpack())
                                  : Hits::Fail(result.error));
               });
   return std::move(future);
@@ -519,7 +519,7 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
     return;
   }
   Reply reply;
-  std::vector<std::vector<SearchHit>> partials;
+  std::vector<HitList> partials;
   partials.reserve(slots.size());
   for (std::size_t slot = 0; slot < slots.size(); ++slot) {
     if (slots[slot].ok()) {
@@ -549,7 +549,8 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
       state->hedge_wins.load(std::memory_order_relaxed);
   if (hedge_wins > 0) state->span.AddTag("hedge_wins", hedge_wins);
   // "The broker then combines the results from its subset of searchers."
-  reply.hits = MergeHits(std::move(partials), state->k);
+  // Only the k survivors' rows and URL bytes are copied into the reply.
+  reply.hits = MergeHitLists(partials, state->k);
   reply.fanout_micros = state->watch.ElapsedMicros();
   fanout_stage_->Record(reply.fanout_micros);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);

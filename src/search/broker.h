@@ -74,11 +74,12 @@ class Broker {
     bool latency_aware_selection = false;
   };
 
-  // One broker's merged answer: the top-k across its partitions plus how
-  // many partitions contributed nothing (every replica down) — the partial
-  // coverage signal the blender turns into a degraded response.
+  // One broker's merged answer: the top-k across its partitions, packed as
+  // the searchers shipped it, plus how many partitions contributed nothing
+  // (every replica down) — the partial coverage signal the blender turns
+  // into a degraded response.
   struct Reply {
-    std::vector<SearchHit> hits;
+    HitList hits;
     std::size_t partitions_failed = 0;
     // Diagnosis breakdown for the blender's flight record: the winning
     // attempt of the slowest-contributing slot (the scan that gated this

@@ -202,7 +202,7 @@ std::future<std::vector<SearchHit>> Searcher::SearchAsync(
   auto [done, future] = PromiseCallback<std::vector<SearchHit>>();
   SearchAsync(std::move(query), k, std::move(options),
               [done = std::move(done)](SearchResult result) {
-                done(result.ok() ? Hits::Ok(std::move(result.value->hits))
+                done(result.ok() ? Hits::Ok(result.value->hits.Unpack())
                                  : Hits::Fail(result.error));
               });
   return std::move(future);
@@ -241,7 +241,7 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
                                           2);
         const Stopwatch watch(MonotonicClock::Instance());
         ScanReply reply;
-        reply.hits = SearchLocal(
+        reply.hits = CurrentIndex()->SearchList(
             query, k,
             {.nprobe = options.nprobe,
              .filter = &filter,
@@ -303,12 +303,15 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
       });
 }
 
+std::shared_ptr<IvfIndex> Searcher::CurrentIndex() const {
+  std::shared_ptr<IvfIndex> index = index_.load(std::memory_order_acquire);
+  if (!index) throw std::runtime_error(node_.name() + ": no index installed");
+  return index;
+}
+
 std::vector<SearchHit> Searcher::SearchLocal(
     FeatureView query, std::size_t k, const IvfSearchOptions& options) const {
-  const std::shared_ptr<IvfIndex> index =
-      index_.load(std::memory_order_acquire);
-  if (!index) throw std::runtime_error(node_.name() + ": no index installed");
-  return index->Search(query, k, options);
+  return CurrentIndex()->Search(query, k, options);
 }
 
 std::vector<SearchHit> Searcher::SearchLocal(FeatureView query, std::size_t k,
@@ -336,18 +339,12 @@ void Searcher::RenderTierStatus(std::ostream& os) const {
 
 std::vector<SearchHit> Searcher::SearchExhaustiveLocal(FeatureView query,
                                                        std::size_t k) const {
-  const std::shared_ptr<IvfIndex> index =
-      index_.load(std::memory_order_acquire);
-  if (!index) throw std::runtime_error(node_.name() + ": no index installed");
-  return index->SearchExhaustive(query, k);
+  return CurrentIndex()->SearchExhaustive(query, k);
 }
 
 std::vector<SearchHit> Searcher::SearchExhaustiveLocal(
     FeatureView query, std::size_t k, const FilterExpression& filter) const {
-  const std::shared_ptr<IvfIndex> index =
-      index_.load(std::memory_order_acquire);
-  if (!index) throw std::runtime_error(node_.name() + ": no index installed");
-  return index->SearchExhaustive(query, k, filter);
+  return CurrentIndex()->SearchExhaustive(query, k, filter);
 }
 
 void Searcher::StartConsuming(std::shared_ptr<Subscription> subscription) {

@@ -157,7 +157,8 @@ class Searcher {
   // in its own ScanReply, so a scan that outlives its caller's interest
   // touches no caller state.
   //
-  // ScanReply carries the partition's top k plus this scan's accounting,
+  // ScanReply carries the partition's top k, packed as the index
+  // materialized it, plus this scan's accounting,
   // which the broker folds over the attempts that won their slots:
   // `filter_micros` is the cost of materializing the filter bitmap (0 for
   // an unfiltered query) — the blender's "searcher_filter" flight stage;
@@ -166,7 +167,7 @@ class Searcher {
   // scan skipped quarantined lists — the integrity rung of the degradation
   // ladder (results are correct but drawn from fewer lists than requested).
   struct ScanReply {
-    std::vector<SearchHit> hits;
+    HitList hits;
     Micros filter_micros = 0;
     Micros io_micros = 0;
     bool tier_degraded = false;
@@ -177,7 +178,7 @@ class Searcher {
                    SearchCallback on_done, Micros rpc_timeout_micros = 0);
 
   // In-process search, bypassing the node: the installed index's Search.
-  // SearchAsync's scan runs through it too.
+  // SearchAsync's scan runs the same index call, keeping the packed list.
   std::vector<SearchHit> SearchLocal(
       FeatureView query, std::size_t k,
       const IvfSearchOptions& options = {}) const;
@@ -256,6 +257,8 @@ class Searcher {
   }
 
  private:
+  // The installed index; throws when none is.
+  std::shared_ptr<IvfIndex> CurrentIndex() const;
   void ConsumeLoop(std::shared_ptr<Subscription> subscription);
   // Teardown body shared by StopConsuming/StartConsuming; caller must hold
   // consumer_mu_.

@@ -1,41 +1,14 @@
 #include "search/types.h"
 
-#include <algorithm>
-
 namespace jdvs {
 
 std::vector<SearchHit> MergeHits(std::vector<std::vector<SearchHit>> partials,
                                  std::size_t k) {
-  std::vector<SearchHit> merged;
-  std::size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  merged.reserve(total);
-  for (auto& p : partials) {
-    std::move(p.begin(), p.end(), std::back_inserter(merged));
+  std::vector<HitList> lists(partials.size());
+  for (std::size_t i = 0; i < partials.size(); ++i) {
+    for (const SearchHit& hit : partials[i]) lists[i].Append(hit);
   }
-  const auto by_distance = [](const SearchHit& a, const SearchHit& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.image_id < b.image_id;  // deterministic tie-break
-  };
-  if (merged.size() > k) {
-    std::partial_sort(merged.begin(), merged.begin() + k, merged.end(),
-                      by_distance);
-    merged.resize(k);
-  } else {
-    std::sort(merged.begin(), merged.end(), by_distance);
-  }
-  // The same image can surface from multiple replicas on failover retries;
-  // keep the first (closest) occurrence.
-  std::vector<SearchHit> deduped;
-  deduped.reserve(merged.size());
-  for (auto& hit : merged) {
-    const bool seen =
-        std::any_of(deduped.begin(), deduped.end(), [&](const SearchHit& h) {
-          return h.image_id == hit.image_id;
-        });
-    if (!seen) deduped.push_back(std::move(hit));
-  }
-  return deduped;
+  return MergeHitLists(lists, k).Unpack();
 }
 
 }  // namespace jdvs

@@ -87,8 +87,8 @@ struct QueryResponse {
   std::uint64_t trace_id = 0;
 };
 
-// Merges per-searcher / per-broker partial hit lists into a global top-k by
-// distance (each input list is already sorted ascending).
+// MergeHitLists' rule over SearchHit vectors, for callers that hold
+// unpacked hits (oracles that merge per-partition SearchLocal answers).
 std::vector<SearchHit> MergeHits(std::vector<std::vector<SearchHit>> partials,
                                  std::size_t k);
 

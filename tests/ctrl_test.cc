@@ -98,9 +98,15 @@ TEST(FailureDetectorTest, MarksDownAndReinstatesOnAck) {
   ctrl::FailureDetector detector({{&node, slot}}, table, fc, &registry);
   detector.Start();
 
-  // A healthy node stays UP across many rounds.
-  ASSERT_TRUE(WaitUntil([&] { return detector.heartbeats_sent() >= 5; }));
-  EXPECT_EQ(table.Get(slot), ReplicaState::kUp);
+  // A healthy node is UP after many rounds. With suspect_after_misses = 1,
+  // one probe that a scheduling stall (a loaded or sanitized run) keeps past
+  // its round counts a miss and leaves the node SUSPECT until the next ack,
+  // so a single reading could catch that window. Wait for an UP reading
+  // after the fifth probe instead.
+  ASSERT_TRUE(WaitUntil([&] {
+    return detector.heartbeats_sent() >= 5 &&
+           table.Get(slot) == ReplicaState::kUp;
+  }));
 
   // Fail switch on: probes error out, misses accumulate, DOWN follows.
   node.set_failed(true);

@@ -37,32 +37,144 @@ SearchHit Hit(ImageId id, float distance, std::uint64_t sales = 0) {
   return hit;
 }
 
-TEST(MergeHitsTest, MergesAndTruncates) {
-  std::vector<std::vector<SearchHit>> partials = {
-      {Hit(1, 1.f), Hit(2, 4.f)},
-      {Hit(3, 2.f), Hit(4, 5.f)},
-      {Hit(5, 3.f)},
-  };
-  const auto merged = MergeHits(std::move(partials), 3);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].image_id, 1u);
-  EXPECT_EQ(merged[1].image_id, 3u);
-  EXPECT_EQ(merged[2].image_id, 5u);
+// ---- The packed list the tiers ship, and its merge. ----
+
+HitList ListOf(std::initializer_list<SearchHit> hits) {
+  HitList list;
+  for (const SearchHit& hit : hits) list.Append(hit);
+  return list;
 }
 
-TEST(MergeHitsTest, DeduplicatesSameImage) {
-  std::vector<std::vector<SearchHit>> partials = {
-      {Hit(1, 1.f), Hit(2, 2.f)},
-      {Hit(1, 1.f), Hit(3, 3.f)},  // replica returned the same image
-  };
-  const auto merged = MergeHits(std::move(partials), 4);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].image_id, 1u);
+SearchHit FullHit(ImageId id, float distance, std::string image_url,
+                  std::string detail_url) {
+  SearchHit hit;
+  hit.image_id = id;
+  hit.distance = distance;
+  hit.product_id = id * 10;
+  hit.category = static_cast<CategoryId>(id % 6);
+  hit.attributes = {.sales = id, .price_cents = id + 1, .praise = id + 2};
+  hit.image_url = std::move(image_url);
+  hit.detail_url = std::move(detail_url);
+  return hit;
 }
 
-TEST(MergeHitsTest, EmptyInputs) {
-  EXPECT_TRUE(MergeHits({}, 5).empty());
-  EXPECT_TRUE(MergeHits({{}, {}}, 5).empty());
+void ExpectSameHit(const SearchHit& got, const SearchHit& want) {
+  EXPECT_EQ(got.image_id, want.image_id);
+  EXPECT_EQ(got.distance, want.distance);
+  EXPECT_EQ(got.product_id, want.product_id);
+  EXPECT_EQ(got.category, want.category);
+  EXPECT_EQ(got.attributes, want.attributes);
+  EXPECT_EQ(got.image_url, want.image_url);
+  EXPECT_EQ(got.detail_url, want.detail_url);
+}
+
+std::vector<ImageId> IdsOf(const HitList& list) {
+  std::vector<ImageId> ids;
+  for (std::size_t i = 0; i < list.size(); ++i) ids.push_back(list[i].image_id);
+  return ids;
+}
+
+TEST(MergeHitListsTest, MergesAndTruncates) {
+  const std::vector<HitList> lists = {
+      ListOf({Hit(1, 1.f), Hit(2, 4.f)}),
+      ListOf({Hit(3, 2.f), Hit(4, 5.f)}),
+      ListOf({Hit(5, 3.f)}),
+  };
+  EXPECT_EQ(IdsOf(MergeHitLists(lists, 3)), (std::vector<ImageId>{1, 3, 5}));
+}
+
+TEST(MergeHitListsTest, DeduplicatesSameImage) {
+  const std::vector<HitList> lists = {
+      ListOf({FullHit(1, 1.f, "jd://img/1/0", "first"), Hit(2, 2.f)}),
+      // A replica returned the same image.
+      ListOf({FullHit(1, 1.f, "jd://img/1/0", "second"), Hit(3, 3.f)}),
+  };
+  const HitList merged = MergeHitLists(lists, 4);
+  EXPECT_EQ(IdsOf(merged), (std::vector<ImageId>{1, 2, 3}));
+  EXPECT_EQ(merged.detail_url(0), "first");  // the first list's row is kept
+}
+
+TEST(MergeHitListsTest, EmptyInputs) {
+  EXPECT_TRUE(MergeHitLists({}, 5).empty());
+  const std::vector<HitList> empties(2);
+  EXPECT_TRUE(MergeHitLists(empties, 5).empty());
+}
+
+TEST(MergeHitListsTest, DistanceTiesBrokenByImageId) {
+  const std::vector<HitList> lists = {
+      ListOf({Hit(9, 1.f), Hit(4, 2.f)}),
+      ListOf({Hit(7, 1.f), Hit(2, 2.f)}),
+  };
+  EXPECT_EQ(IdsOf(MergeHitLists(lists, 3)), (std::vector<ImageId>{7, 9, 2}));
+}
+
+TEST(MergeHitListsTest, KLargerThanAllInputs) {
+  const std::vector<HitList> lists = {
+      ListOf({Hit(1, 3.f)}),
+      ListOf({Hit(2, 1.f), Hit(3, 2.f)}),
+  };
+  EXPECT_EQ(IdsOf(MergeHitLists(lists, 100)),
+            (std::vector<ImageId>{2, 3, 1}));
+}
+
+TEST(HitListTest, RowsKeepEveryFieldAndUrl) {
+  const std::string long_url =
+      "jd://img/123456789/12345678901234567890";  // past the inline buffer
+  const std::vector<SearchHit> hits = {
+      FullHit(1, 0.5f, "jd://img/1/0", ""),  // empty detail URL
+      FullHit(2, 0.25f, long_url, "jd://item/2"),
+      FullHit(3, 0.75f, "", "jd://item/3?v=2"),
+  };
+  HitList list;
+  for (const SearchHit& hit : hits) list.Append(hit);
+  ASSERT_EQ(list.size(), hits.size());
+  EXPECT_EQ(list.detail_url(0), "");
+  EXPECT_EQ(list.image_url(1), long_url);
+  EXPECT_EQ(list.image_url(2), "");
+  const std::vector<SearchHit> unpacked = list.Unpack();
+  ASSERT_EQ(unpacked.size(), hits.size());
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ExpectSameHit(unpacked[i], hits[i]);
+  }
+}
+
+TEST(MergeHitListsTest, MergedListOutlivesItsInputs) {
+  const std::string long_url = "jd://img/987654321/123456789012345";
+  HitList merged;
+  {
+    std::vector<HitList> lists(2);
+    lists[0].Append(FullHit(1, 2.f, long_url, ""));
+    lists[1].Append(FullHit(2, 1.f, "jd://img/2/0", long_url + "/detail"));
+    lists[1].Append(FullHit(3, 3.f, "jd://img/3/0", "jd://item/3"));
+    merged = MergeHitLists(lists, 2);
+  }  // the inputs and their URL buffers are gone
+  const std::vector<SearchHit> hits = merged.Unpack();
+  ASSERT_EQ(hits.size(), 2u);
+  ExpectSameHit(hits[0], FullHit(2, 1.f, "jd://img/2/0", long_url + "/detail"));
+  ExpectSameHit(hits[1], FullHit(1, 2.f, long_url, ""));
+}
+
+// The SearchHit adapter gives the list merge's answer, field for field.
+TEST(MergeHitListsTest, MergeHitsAdapterMatchesListMerge) {
+  const std::vector<std::vector<SearchHit>> partials = {
+      {FullHit(5, 1.f, "jd://img/5/0", "jd://item/5"),
+       FullHit(6, 2.f, "jd://img/6/0", "")},
+      {FullHit(5, 1.f, "jd://img/5/0", "jd://item/5"),
+       FullHit(4, 2.f, "jd://img/4/0", "jd://item/4")},
+  };
+  std::vector<HitList> lists;
+  for (const auto& partial : partials) {
+    lists.emplace_back();
+    for (const SearchHit& hit : partial) lists.back().Append(hit);
+  }
+  const std::vector<SearchHit> via_adapter = MergeHits(partials, 3);
+  const std::vector<SearchHit> via_list = MergeHitLists(lists, 3).Unpack();
+  ASSERT_EQ(via_adapter.size(), 2u);
+  ASSERT_EQ(via_list.size(), via_adapter.size());
+  for (std::size_t i = 0; i < via_list.size(); ++i) {
+    ExpectSameHit(via_adapter[i], via_list[i]);
+  }
+  EXPECT_EQ(via_list[1].image_id, 4u);
 }
 
 TEST(RankingTest, SimilarityDominates) {
@@ -794,10 +906,117 @@ TEST(BlenderTest, CategoryScopeMatchesPartitionOracle) {
     EXPECT_FALSE(got->degraded);
     ASSERT_EQ(got->results.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got->results[i].hit.image_id, want[i].hit.image_id) << i;
-      EXPECT_EQ(got->results[i].hit.category, category) << i;
+      SCOPED_TRACE(i);
+      ExpectSameHit(got->results[i].hit, want[i].hit);
+      EXPECT_EQ(got->results[i].hit.category, category);
     }
   }
+}
+
+// The blender's answer equals the partition oracle field for field — every
+// partition's SearchLocal answer under the same filter, merged and ranked as
+// the blender ranks — so nothing is lost or mixed up between the rows and
+// URL bytes the tiers ship. Four cases: unfiltered, a broad filter (direct
+// post mode, no bitmap), a narrow filter (bitmap), and an unfiltered query
+// after a real-time update changed the subject's attributes and detail URL.
+TEST(BlenderTest, AnswersMatchPartitionOracleFieldForField) {
+  MiniCluster mini;
+  constexpr std::size_t kK = 5;
+  std::vector<std::uint64_t> sales;
+  for (ProductId id = 1; id <= 60; ++id) {
+    sales.push_back(mini.catalog.Get(id)->attributes.sales);
+  }
+  std::sort(sales.begin(), sales.end());
+  FilterExpression broad;
+  broad.WithMin(FilterField::kSales, sales[sales.size() * 30 / 100]);
+  FilterExpression narrow;
+  narrow.WithMin(FilterField::kSales, sales[sales.size() * 80 / 100]);
+
+  // Product 14's attributes and detail URL once every replica applied it.
+  ProductUpdateMessage update;
+  update.type = UpdateType::kAttributeUpdate;
+  update.product_id = 14;
+  update.attributes = {.sales = 4242, .price_cents = 1999, .praise = 77};
+  update.detail_url = "jd://item/14?rev=2&campaign=autumn";
+  bool updated = false;
+
+  const auto check = [&](const QueryImage& query,
+                         const FilterExpression& filter,
+                         FilterScanStats::Strategy strategy, bool estimated) {
+    QueryOptions options{.k = kK};
+    options.filter = filter;
+    const QueryResponse got = mini.blender->Search(query, options);
+    const FeatureVector feature = mini.embedder.ExtractQuery(
+        query.subject_product, query.true_category, query.query_seed);
+    std::vector<std::vector<SearchHit>> partials;
+    for (const Searcher* searcher :
+         {mini.searcher_a.get(), mini.searcher_b.get()}) {
+      FilterScanStats stats;
+      partials.push_back(searcher->SearchLocal(
+          feature, 2 * kK, {.filter = &filter, .filter_stats = &stats}));
+      EXPECT_EQ(stats.strategy, strategy);
+      EXPECT_EQ(stats.estimated, estimated);
+    }
+    const std::vector<RankedResult> want =
+        RankResults(MergeHits(std::move(partials), 2 * kK),
+                    got.detected_category, RankingConfig{}, kK);
+    EXPECT_FALSE(got.degraded);
+    EXPECT_EQ(got.degradation_level, 0);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(got.results.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.results.size(), want.size());
+         ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameHit(got.results[i].hit, want[i].hit);
+      EXPECT_EQ(got.results[i].score, want[i].score);
+    }
+    // The oracle shares the list code with the serving path, so also check
+    // every hit against the catalog the index was built from.
+    for (const RankedResult& result : got.results) {
+      const SearchHit& hit = result.hit;
+      const auto record = mini.catalog.Get(hit.product_id);
+      EXPECT_TRUE(record.has_value());
+      if (!record) continue;
+      const bool changed = updated && hit.product_id == update.product_id;
+      EXPECT_EQ(hit.image_id, Fnv1a64(hit.image_url));
+      EXPECT_NE(std::ranges::find(record->image_urls, hit.image_url),
+                record->image_urls.end());
+      EXPECT_EQ(hit.category, record->category);
+      EXPECT_EQ(hit.attributes,
+                changed ? update.attributes : record->attributes);
+      EXPECT_EQ(hit.detail_url,
+                changed ? update.detail_url : record->detail_url);
+    }
+    return got;
+  };
+  using Strategy = FilterScanStats::Strategy;
+  const QueryImage query = mini.QueryFor(14, 2);
+  {
+    SCOPED_TRACE("unfiltered");
+    check(query, {}, Strategy::kNone, false);
+  }
+  {
+    SCOPED_TRACE("broad filter");
+    check(query, broad, Strategy::kPost, true);
+  }
+  {
+    SCOPED_TRACE("narrow filter");
+    check(query, narrow, Strategy::kPre, false);
+  }
+
+  // Every replica of every partition applies the update, as the message
+  // queue would deliver it; each keeps only its own images.
+  for (Searcher* searcher : {mini.searcher_a.get(),
+                             mini.searcher_a_backup.get(),
+                             mini.searcher_b.get()}) {
+    ASSERT_TRUE(searcher->ApplyUpdate(update));
+  }
+  updated = true;
+  SCOPED_TRACE("after a real-time update");
+  const QueryResponse answer = check(query, {}, Strategy::kNone, false);
+  EXPECT_TRUE(std::ranges::any_of(answer.results, [](const RankedResult& r) {
+    return r.hit.product_id == 14u;
+  }));
 }
 
 TEST(BlenderTest, MisdetectionWithFilterExcludesSubject) {
